@@ -44,6 +44,11 @@
 // from the coordinator's forced commit record to the F+1-th acceptor's
 // bundle acceptance (which covers every instance at once); the coordinator's
 // own commit record is a lazy hint.
+//
+// Two-phase commit is this protocol with F = 0 (Gray & Lamport section 4),
+// so both modes share one commit driver and one participant prepare routine
+// (two_phase_commit.cc); the driver calls into this engine only where the
+// decision is made durable. This file holds the engine itself.
 
 #ifndef TABS_TXN_PAXOS_COMMIT_H_
 #define TABS_TXN_PAXOS_COMMIT_H_
@@ -78,8 +83,10 @@ CommitMode DefaultCommitMode();
 
 using Ballot = std::int32_t;
 
-// Per-instance consensus values. A participant's instance decides its vote;
-// the transaction commits iff no instance decides kAborted.
+// A participant's vote, in both commit modes (under 2PC, a subtree's vote to
+// its parent). Under Paxos Commit a participant's instance decides its vote
+// and the transaction commits iff no instance decides kAborted. The values
+// are persisted in kPaxosAccept/kPaxosLearn records: never renumber them.
 enum class PaxosVote : std::int8_t {
   kNone = 0,
   kPrepared = 1,
@@ -130,9 +137,11 @@ using PromiseChannel = sim::Channel<PaxosPromise>;
 
 // The per-node Paxos Commit engine: acceptor role for any transaction whose
 // acceptor set includes this node, plus the leader-side primitives the
-// TransactionManager's coordinator path and takeover path drive. Owned by
-// (and a friend of) the TransactionManager; peers are reached through the
-// TM's peer table with datagrams, exactly like the 2PC messages.
+// shared commit driver (TransactionManager::CommitTopLevel, in
+// two_phase_commit.cc) calls where Paxos Commit makes a decision durable, and
+// the takeover path. Owned by (and a friend of) the TransactionManager; peers
+// are reached through the TM's peer table with datagrams, exactly like the
+// 2PC messages.
 class PaxosCommit {
  public:
   explicit PaxosCommit(TransactionManager& tm) : tm_(tm) {}
@@ -160,18 +169,18 @@ class PaxosCommit {
                 VoteChannelPtr votes);
 
   // Ballot-0 phase 2a, coalesced: ONE accept-bundle datagram per acceptor
-  // node carries every instance's pre-assigned value; acceptances come back
-  // through `replies`, one per acceptor. Returns the number of acceptors
-  // contacted. When `prepare_lsn` is set, the caller deferred its own
-  // prepare-record force: this node's acceptance (forced, and later in the
-  // WAL) covers it in the same stable write, and SendAcceptBundles
-  // guarantees the LSN is durable before any remote bundle leaves — a remote
-  // quorum must never decide Prepared while the coordinator's redo is still
-  // volatile.
-  size_t SendAcceptBundles(const TransactionId& tid,
-                           const std::vector<InstanceValue>& values,
-                           const std::vector<NodeId>& acceptors,
-                           AcceptChannelPtr replies, Lsn prepare_lsn = kNullLsn);
+  // node carries every instance's pre-assigned value; then waits, against one
+  // vote timeout, for the acceptances. Returns true once a quorum (F+1) of
+  // acceptors has durably accepted every instance — the decision point.
+  // False (short of a quorum) means the outcome must be read through
+  // Resolve: the bundles may have been logged while their replies were lost.
+  // When `prepare_lsn` is set, the caller deferred its own prepare-record
+  // force: this node's acceptance (forced, and later in the WAL) covers it in
+  // the same stable write, and the LSN is durable before any remote bundle
+  // leaves — a remote quorum must never decide Prepared while the
+  // coordinator's redo is still volatile.
+  bool AcceptAtBallotZero(const TransactionId& tid, const std::vector<InstanceValue>& values,
+                          const std::vector<NodeId>& acceptors, Lsn prepare_lsn = kNullLsn);
 
   // Takeover: drive every instance of `tid` to a decision with a fresh
   // ballot (phase 1, value selection, phase 2). Returns +1 commit, -1 abort,

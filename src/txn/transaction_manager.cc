@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "src/log/group_commit.h"
+#include "src/sim/fault_injector.h"
 
 namespace tabs::txn {
 
@@ -156,8 +157,7 @@ Status TransactionManager::End(const TransactionId& tid) {
     CommitSubtransaction(*txn);
     return Status::kOk;
   }
-  Status s = commit_mode_ == CommitMode::kPaxosCommit ? CommitTopLevelPaxos(*txn)
-                                                      : CommitTopLevel(*txn);
+  Status s = CommitTopLevel(*txn);
   MaybeCheckpoint();
   return s;
 }
@@ -272,9 +272,26 @@ void TransactionManager::ForceLsn(Lsn lsn) {
   }
 }
 
-void TransactionManager::EarlyRelease(Txn& txn, bool taint) {
-  for (CommitParticipant* s : txn.servers) {
-    s->OnEarlyRelease(txn.tid, taint);
+void TransactionManager::ForceTxnRecord(RecordType type, Txn& txn, Lsn* deferred) {
+  if (op_queue_.enabled()) {
+    // Queue mode. A commit's outcome is decided the moment its record is
+    // appended — the WAL forces in LSN order, so any successor's durable
+    // record implies ours — so its locks release untainted and successors
+    // pipeline into the group-commit window. A prepare's outcome is
+    // undecided until the verdict, so its released objects are tainted and
+    // any successor granted a lock on them becomes commit-dependent.
+    const bool prepare = type == RecordType::kTxnPrepare;
+    Lsn lsn = AppendTxnRecord(type, txn, /*force=*/false);
+    FAULT_POINT(node_.substrate(),
+                prepare ? "queue.prepare.early-release" : "queue.commit.early-release");
+    for (CommitParticipant* s : txn.servers) {
+      s->OnEarlyRelease(txn.tid, /*taint=*/prepare);
+    }
+    ForceLsn(lsn);
+  } else if (deferred != nullptr) {
+    *deferred = AppendTxnRecord(type, txn, /*force=*/false);
+  } else {
+    AppendTxnRecord(type, txn, /*force=*/true);
   }
 }
 

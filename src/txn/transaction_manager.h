@@ -7,6 +7,10 @@
 // (JoinServer), and the Communication Manager announces remote involvement.
 // The commit protocol is two-phase over the transaction's spanning tree:
 // "each node serves as coordinator for the nodes that are its children."
+// Under WorldOptions::commit_mode = kPaxosCommit the same driver makes the
+// decision durable at 2F+1 acceptors instead of in the coordinator's forced
+// commit record (two-phase commit is Paxos Commit with F = 0); see
+// two_phase_commit.cc for where the mode branches.
 //
 // Subtransactions use the same machinery: BeginTransaction of a non-null
 // parent creates a subtransaction that synchronizes as a separate
@@ -148,24 +152,25 @@ class TransactionManager : public comm::TransactionTreeListener,
   void OnRemoteChildJoined(const TransactionId& tid, NodeId child) override;
   void OnRemoteParentObserved(const TransactionId& tid, NodeId parent) override;
 
-  // --- two-phase commit participant side (invoked via datagram handlers) ------
-  // Prepares the subtree rooted at this node. Returns the vote.
-  enum class Vote { kYes, kReadOnly, kNo };
-  Vote HandlePrepare(const TransactionId& tid, NodeId parent_node,
-                     const std::vector<NodeId>& siblings = {});
+  // --- commit participant side (invoked via datagram handlers) ---------------
+  // The one prepare routine of both commit modes: prepares the subtree rooted
+  // at this node for `parent_node` and returns its vote. `siblings` are the
+  // fellow participants (for cooperative termination; under Paxos Commit the
+  // instance set a takeover drives) and `acceptors` the Paxos acceptor set
+  // (empty under 2PC). The paxos-prepare handler passes `votes`: the vote is
+  // then also relayed to the leader through PaxosCommit::SendVote — the leader
+  // turns the collected votes into ballot-0 accept bundles, or skips the
+  // acceptor round entirely when no participant voted Prepared.
+  PaxosVote HandlePrepare(const TransactionId& tid, NodeId parent_node,
+                          const std::vector<NodeId>& siblings = {},
+                          const std::vector<NodeId>& acceptors = {},
+                          VoteChannelPtr votes = nullptr);
   void HandleCommit(const TransactionId& tid);
   // Cooperative termination (Dwork/Skeen): what this participant knows about
   // `tid` — 1 committed, -1 aborted, 0 no knowledge (possibly in doubt too).
   int ParticipantKnowledge(const TransactionId& tid);
   void HandleAbortMsg(const TransactionId& tid);
   // --- Paxos Commit participant side (kPaxosCommit mode only) -----------------
-  // The paxos-prepare datagram handler: prepare the local subtree as in 2PC,
-  // then relay the vote to `leader` through `votes` — the leader turns the
-  // collected votes into ballot-0 accept bundles (or skips the acceptor
-  // round entirely when no participant voted Prepared).
-  void HandlePaxosPrepare(const TransactionId& tid, NodeId leader,
-                          const std::vector<NodeId>& participants,
-                          const std::vector<NodeId>& acceptors, VoteChannelPtr votes);
   // A decided verdict arriving from a takeover leader: applies commit/abort
   // to a live prepared transaction or a recovered in-doubt one.
   void HandlePaxosVerdict(const TransactionId& tid, bool committed);
@@ -260,15 +265,42 @@ class TransactionManager : public comm::TransactionTreeListener,
   void AbortImpl(Txn& txn);
 
   // Implemented in two_phase_commit.cc.
+  // The commit driver of both modes: prepare, collect votes, decide, make the
+  // decision durable, propagate.
   Status CommitTopLevel(Txn& txn);
-  Vote PrepareSubtree(Txn& txn);
+  // 2PC phase one over the subtree rooted here (every participant's subtree,
+  // and the whole tree under 2PC): the subtree's collective vote.
+  PaxosVote PrepareSubtree(Txn& txn);
+  // HandlePrepare without the vote relay.
+  PaxosVote PrepareParticipant(const TransactionId& tid, NodeId parent_node,
+                               const std::vector<NodeId>& siblings,
+                               const std::vector<NodeId>& acceptors);
+  // Phase one downward: a prepare datagram to every child, in parallel —
+  // paxos-prepare from the Paxos `leader`, 2pc-prepare otherwise — whose
+  // votes arrive on `votes`. False (nothing sent) when a child is already
+  // dead.
+  bool SendPrepares(const Txn& txn, const VoteChannelPtr& votes, bool leader);
+  // Local prepare: asks each joined server whether it wrote updates.
+  bool PrepareLocalServers(const Txn& txn);
+  // Pops votes for `tid` into `vote_of` (which holds this node's own) until
+  // it has one per participant; children voting Prepared join
+  // update_children. False when the single vote deadline passed first, or
+  // the transaction was erased while it waited.
+  bool CollectVotes(const TransactionId& tid, VoteChannel& votes, size_t participants,
+                    std::map<NodeId, PaxosVote>& vote_of);
+  // Queue mode: waits out `tid`'s commit dependencies. kOk to go on;
+  // otherwise the transaction is gone — kAborted when a cascade consumed it,
+  // kVoteNo when the wait failed and this call aborted it.
+  Status AwaitPredecessorsOrAbort(const TransactionId& tid);
+  // This node votes Prepared: forces the prepare record (see ForceTxnRecord
+  // for `deferred`). False when an abort consumed the transaction meanwhile.
+  bool BecomePrepared(Txn& txn, Lsn* deferred);
   void CommitSubtree(Txn& txn, bool is_root);
   void AbortSubtree(Txn& txn, bool notify_children);
   void CommitSubtransaction(Txn& txn);
   TransactionManager* Peer(NodeId node) const;
 
   // Implemented in paxos_commit.cc.
-  Status CommitTopLevelPaxos(Txn& txn);
   // Applies a verdict to a recovered in-doubt transaction: re-log the
   // outcome, redo/undo through the Recovery Manager, release locks.
   void ApplyRecoveredOutcome(const TransactionId& tid, bool committed);
@@ -278,8 +310,12 @@ class TransactionManager : public comm::TransactionTreeListener,
   // between append and force.
   Lsn AppendTxnRecord(log::RecordType type, const Txn& txn, bool force);
   void ForceLsn(Lsn lsn);
-  // Queue mode: drop txn's locks through every joined server (OnEarlyRelease).
-  void EarlyRelease(Txn& txn, bool taint);
+  // Appends and forces `txn`'s commit or prepare record. Queue mode releases
+  // the locks between append and force — tainted for a prepare, whose
+  // outcome is still undecided. With `deferred` (and queue mode off) the
+  // record is only appended and its LSN stored there, for the caller's next
+  // force to cover.
+  void ForceTxnRecord(log::RecordType type, Txn& txn, Lsn* deferred = nullptr);
   // Queue mode: abort a queued successor of an aborting early-releaser. The
   // victim's entry is consumed here; its own task observes the abort through
   // the RefusesOps / cascading-set guards.

@@ -1,4 +1,5 @@
-// The tree-structured two-phase commit protocol (Section 3.2.3) and
+// The commit driver — the tree-structured two-phase commit protocol
+// (Section 3.2.3) and Paxos Commit behind one pipeline — plus
 // subtransaction commit/abort propagation.
 //
 // Every node coordinates its own children in the transaction's spanning tree
@@ -8,6 +9,26 @@
 // includes the read-only optimization: a subtree with no updates votes
 // read-only, releases its locks at prepare time, and drops out of phase two.
 //
+// Two-phase commit is Paxos Commit with F = 0 (Gray & Lamport, "Consensus on
+// Transaction Commit", section 4): the coordinator is the only acceptor and
+// its forced commit record is that acceptor's acceptance. So one driver,
+// CommitTopLevel, serves both WorldOptions::commit_mode values: prepare,
+// collect every vote against one deadline, decide, make the decision
+// durable, propagate it. The mode branches in two places only:
+//  * making the decision durable — 2PC forces the coordinator's commit
+//    record; Paxos Commit runs the ballot-0 accept round at its 2F+1
+//    acceptors (falling back to a takeover), after which the coordinator's
+//    commit record is a lazy hint and learns go to the acceptors;
+//  * the Paxos leader's own prepare — the leader votes in its own instance,
+//    so it logs a prepare record before collecting votes (deferred into its
+//    co-located acceptor's force, or early-released in queue mode), and in
+//    queue mode it awaits its predecessors before that record rather than
+//    before the decision.
+// Participants run one prepare routine (HandlePrepare) in both modes and
+// prepare their own subtrees with plain 2PC; a paxos-prepare only adds the
+// vote relay to the leader. The PaxosCommit engine (acceptors, takeover,
+// replay) lives in paxos_commit.cc.
+//
 // Under ArchitectureModel::Improved (Section 5.3), phase two of a
 // distributed write commit leaves the latency-critical path: the coordinator
 // returns to the application as soon as the commit record is stable and the
@@ -15,6 +36,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 #include <memory>
 
 #include "src/sim/fault_injector.h"
@@ -34,12 +56,36 @@ TransactionManager* TransactionManager::Peer(NodeId node) const {
   return it == peers_->end() ? nullptr : it->second;
 }
 
+namespace {
+
+bool AnyVote(const std::map<NodeId, PaxosVote>& vote_of, PaxosVote vote) {
+  return std::ranges::any_of(vote_of, [vote](const auto& v) { return v.second == vote; });
+}
+
+}  // namespace
+
 Status TransactionManager::CommitTopLevel(Txn& txn) {
   assert(txn.born_here && "EndTransaction must run at the transaction's birth node");
   sim::Substrate& sub = node_.substrate();
+  // Coordinator-local fast path: with no children the participant set is
+  // exactly {self}, so no other site holds locks or can be left in doubt.
+  // Paxos Commit exists to make the verdict survive the coordinator for the
+  // OTHER participants' sake (Gray & Lamport section 3); with one participant
+  // the decision degenerates to that participant's own durable record, which
+  // this node's recovery reads from its own log either way. Replicating it to
+  // 2F+1 acceptors would buy nothing and cost a prepare round plus an
+  // acceptor force, so it commits as plain 2PC (one forced commit record;
+  // read-only still forces nothing at all).
+  const bool paxos =
+      commit_mode_ == CommitMode::kPaxosCommit && !cm_.InfoFor(txn.top).children.empty();
+  if (commit_mode_ == CommitMode::kPaxosCommit && !paxos) {
+    FAULT_POINT(sub, "paxos.local-commit");
+  }
   sim::PhaseScope commit_phase(sub.metrics(), sim::Phase::kCommit);
-  sim::SpanGuard span(sub.tracer(), sim::Component::kTransactionManager, "2pc.commit",
+  sim::SpanGuard span(sub.tracer(), sim::Component::kTransactionManager,
+                      paxos ? "paxos.commit" : "2pc.commit",
                       sub.tracer().enabled() ? ToString(txn.top) : std::string());
+  const TransactionId tid = txn.tid;
 
   // Open subtransactions commit with their parent (Section 2.1.3).
   for (const TransactionId& s : std::set<TransactionId>(txn.live_subtxns)) {
@@ -58,58 +104,156 @@ Status TransactionManager::CommitTopLevel(Txn& txn) {
     sub.Charge(sim::Primitive::kPointerMessage, 1);
   }
 
-  Vote vote = PrepareSubtree(txn);
-  if (vote == Vote::kNo) {
+  // ---- phase one: one vote per participant, against one deadline ----
+  // Under 2PC the whole tree votes through this node, so the map holds one
+  // entry: the subtree's collective vote. Under Paxos Commit the participant
+  // set is this node plus its direct children; each child prepares its own
+  // subtree with plain 2PC and votes on the subtree's behalf, so one Paxos
+  // instance per direct participant covers the tree.
+  std::map<NodeId, PaxosVote> vote_of;
+  bool all_votes = true;
+  Lsn deferred_prepare = kNullLsn;
+  std::vector<NodeId> participants;
+  std::vector<NodeId> acceptors;
+  if (paxos) {
+    participants.assign(info.children.begin(), info.children.end());
+    participants.push_back(node_.id());
+    std::sort(participants.begin(), participants.end());
+    acceptors = paxos_->ChooseAcceptors(tid);
+    txn.siblings = participants;
+    txn.acceptors = acceptors;
+    // Votes come back to this leader (the coordinator-relay variant of Gray &
+    // Lamport section 6) instead of going straight to the acceptors: the
+    // leader can then skip the acceptor round outright when no vote was
+    // Prepared, and coalesce phase 2a into one bundle per acceptor otherwise.
+    auto votes = std::make_shared<VoteChannel>(sub.scheduler());
+    if (!SendPrepares(txn, votes, /*leader=*/true)) {
+      // A participant is already dead: abort now, no consensus needed.
+      AbortSubtree(txn, /*notify_children=*/true);
+      ForgetTxn(tid);
+      return Status::kVoteNo;
+    }
+    // The children prepare in parallel while the leader waits out its
+    // commit dependencies: its own prepare record below must not make a
+    // dirty read durable.
+    if (Status ws = AwaitPredecessorsOrAbort(tid); ws != Status::kOk) {
+      return ws;
+    }
+    vote_of[node_.id()] = PaxosVote::kReadOnly;
+    if (PrepareLocalServers(txn)) {
+      // Co-located-acceptor force coalescing: this node's own accept-bundle
+      // force (at a higher LSN) makes the prepare record durable in the same
+      // stable write, so the leader pays ONE force where it would pay two.
+      // AcceptAtBallotZero forces the LSN directly if the local acceptance is
+      // skipped, before anything reaches the wire.
+      const bool self_acceptor = std::ranges::find(acceptors, node_.id()) != acceptors.end();
+      if (!BecomePrepared(txn, self_acceptor ? &deferred_prepare : nullptr)) {
+        return Status::kAborted;  // aborted (or being aborted) during the force
+      }
+      vote_of[node_.id()] = PaxosVote::kPrepared;
+    }
+    all_votes = CollectVotes(tid, *votes, participants.size(), vote_of);
+  } else {
+    vote_of[node_.id()] = PrepareSubtree(txn);
+  }
+  // Phase one blocked: an abort (a cascade, or the application's own) may
+  // have consumed the transaction meanwhile.
+  if (Txn* live = Find(tid); live == nullptr || AbortInProgress(*live)) {
+    return Status::kAborted;
+  }
+
+  // ---- decide, and make the decision durable ----
+  bool any_prepared = AnyVote(vote_of, PaxosVote::kPrepared);
+  int outcome = AnyVote(vote_of, PaxosVote::kAborted) ? -1 : 1;
+  bool learn = false;  // the accept round decided: teach the acceptors
+  if (paxos && all_votes && !any_prepared) {
+    // Read-only fast path: every vote arrived and none is Prepared — each
+    // participant either voted ReadOnly (locks already released) or Aborted
+    // (already rolled back). Nothing is Prepared anywhere, so there is no
+    // in-doubt window and nothing a takeover could ever need to resolve.
+    // Skip the acceptor round entirely: no ballot-0 instances, no
+    // kPaxosAccept forces, answer the application now.
+    FAULT_POINT(sub, "paxos.readonly-skip");
+  } else if (paxos) {
+    if (all_votes) {
+      // The accept round, coalesced: one bundle datagram per acceptor carries
+      // every instance's ballot-0 value. ReadOnly instances ride along too —
+      // a takeover derives its value list from the same participant set, so
+      // every instance must be decidable from any acceptance quorum. At F+1
+      // acceptances every instance is durably accepted (a bundle is atomic at
+      // its acceptor), so any future takeover quorum must choose the same
+      // values: commit when every vote is Prepared/ReadOnly, abort when an
+      // Aborted vote rode along.
+      std::vector<InstanceValue> values;
+      values.reserve(participants.size());
+      for (NodeId p : participants) {
+        values.push_back(InstanceValue{p, 0, vote_of[p]});
+      }
+      learn = paxos_->AcceptAtBallotZero(tid, values, acceptors, deferred_prepare);
+    }
+    if (!learn) {
+      // A vote never arrived (its participant may be crashed holding a
+      // durable prepare), or the accept round fell short of a quorum — whose
+      // acceptors may have logged the bundle while their replies were lost.
+      // Presumed abort is unsound either way: the outcome must be REPLICATED,
+      // not presumed. The takeover decides through the acceptors and durably
+      // learns the verdict there, which is exactly where a crashed
+      // participant's recovery will look for it; its verdict datagrams reach
+      // the participants, so phase two sends nothing.
+      outcome = paxos_->Resolve(tid, participants, acceptors);
+      if (Find(tid) == nullptr) {
+        return outcome > 0 ? Status::kOk : Status::kAborted;  // verdict raced us
+      }
+      if (outcome == 0) {
+        // No acceptor quorum reachable: genuinely in doubt. Keep the locks —
+        // blocking here is the price of consistency; any survivor (or this
+        // node after recovery) resolves through the acceptors later.
+        return Status::kNodeDown;
+      }
+      txn.update_children.clear();
+      any_prepared = true;  // can't tell read-only apart: log the record
+    }
+  }
+
+  if (outcome < 0) {
+    if (learn) {
+      // The accept round decided Aborted (an Aborted vote rode the bundles):
+      // teach the acceptors so a later standby leader short-circuits.
+      FAULT_POINT(sub, "paxos.learn");
+      paxos_->BroadcastLearn(tid, -1, acceptors);
+    }
+    // Prepared children learn through AbortSubtree's abort datagrams.
     AbortSubtree(txn, /*notify_children=*/true);
-    TransactionId tid = txn.tid;
     ForgetTxn(tid);
     return Status::kVoteNo;
   }
 
-  if (op_queue_.enabled()) {
-    // A dependent may not decide before its predecessors: wait out every
-    // commit dependency picked up from early-released locks, then re-resolve
-    // — a predecessor's abort may have cascaded to this transaction while we
-    // slept (the entry is then owned by the cascade, or already gone; `txn`
-    // must not be touched until the re-resolve proves it alive).
-    const TransactionId self = txn.tid;
-    Status ws = op_queue_.AwaitPredecessors(txn.top, vote_timeout_);
-    Txn* again = Find(self);
-    if (again == nullptr || again->state == TxnState::kAborted || AbortInProgress(*again)) {
-      return Status::kAborted;
-    }
-    if (ws != Status::kOk) {
-      AbortSubtree(txn, /*notify_children=*/true);
-      ForgetTxn(self);
-      return Status::kVoteNo;
+  if (!paxos) {
+    // A dependent may not decide before its predecessors.
+    if (Status ws = AwaitPredecessorsOrAbort(tid); ws != Status::kOk) {
+      return ws;
     }
   }
-
   // TABS process CPU time for local transaction management (Section 5.2).
   sub.scheduler().Charge(sub.costs().coordinator_overhead_us);
-  bool updates = vote == Vote::kYes;
-  if (updates) {
+  if (any_prepared) {
     sub.scheduler().Charge(sub.costs().coordinator_write_extra_us);
-    // Every participant is prepared but the verdict is not yet durable: a
-    // crash here must resolve to abort (presumed abort).
-    FAULT_POINT(sub, "2pc.commit.before_record");
-    if (op_queue_.enabled()) {
-      // Queue mode: the outcome is decided the moment the commit record is
-      // appended — the WAL forces in LSN order, so any successor's durable
-      // record implies ours. Locks release before the force (no taint, no
-      // dependency) and successors pipeline into the group-commit window.
-      Lsn lsn = AppendTxnRecord(RecordType::kTxnCommit, txn, /*force=*/false);
-      FAULT_POINT(sub, "queue.commit.early-release");
-      EarlyRelease(txn, /*taint=*/false);
-      ForceLsn(lsn);
+    if (paxos) {
+      // Unforced on purpose: the commit point already passed at the
+      // acceptors, so this record is a lazy hint that spares a takeover
+      // after a coordinator crash — exactly the force 2PC cannot skip.
+      AppendTxnRecord(RecordType::kTxnCommit, txn, /*force=*/false);
     } else {
+      // Every participant is prepared but the verdict is not yet durable: a
+      // crash here must resolve to abort (presumed abort).
+      FAULT_POINT(sub, "2pc.commit.before_record");
       // The commit point: the commit record reaches stable storage.
-      AppendTxnRecord(RecordType::kTxnCommit, txn, /*force=*/true);
+      ForceTxnRecord(RecordType::kTxnCommit, txn);
+      // The verdict is durable but no participant knows it: a crash here
+      // must resolve to commit via the in-doubt query.
+      FAULT_POINT(sub, "2pc.commit.after_record");
     }
-    // The verdict is durable but no participant knows it: a crash here must
-    // resolve to commit via the in-doubt query.
-    FAULT_POINT(sub, "2pc.commit.after_record");
-  } else {
+  } else if (!paxos) {
     // Read-only fast path: every vote was ReadOnly, so no participant is
     // prepared and nothing needs phase two — no commit record, no force.
     // A crash here is indistinguishable from one before the commit call:
@@ -118,191 +262,247 @@ Status TransactionManager::CommitTopLevel(Txn& txn) {
   }
   txn.state = TxnState::kCommitted;
   logged_outcomes_[txn.top] = TxnOutcome::kCommitted;
-
+  if (learn) {
+    // Commit stands at the acceptors but no learn datagram is out: a crash
+    // here must still commit everywhere via takeover.
+    FAULT_POINT(sub, "paxos.learn");
+    paxos_->BroadcastLearn(tid, 1, acceptors);
+  }
+  if (op_queue_.enabled()) {
+    // Decided: clear the leader's own prepare taints, discharge dependents.
+    op_queue_.NoteCommitted(txn.top);
+  }
   CommitSubtree(txn, /*is_root=*/true);
   sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // TM -> app: done
-  TransactionId tid = txn.tid;
   ForgetTxn(tid);
   return Status::kOk;
 }
 
-TransactionManager::Vote TransactionManager::PrepareSubtree(Txn& txn) {
+bool TransactionManager::SendPrepares(const Txn& txn, const VoteChannelPtr& votes, bool leader) {
   sim::Substrate& sub = node_.substrate();
-  sim::Scheduler& sched = sub.scheduler();
-  sim::SpanGuard span(sub.tracer(), sim::Component::kTransactionManager, "2pc.prepare",
-                      sub.tracer().enabled() ? ToString(txn.top) : std::string());
-  const auto& info = cm_.InfoFor(txn.top);
+  const auto& children = cm_.InfoFor(txn.top).children;
+  if (!std::ranges::all_of(children, [this](NodeId c) { return Peer(c) != nullptr; })) {
+    return false;  // a child crashed: cannot guarantee its updates
+  }
   FAULT_POINT(sub, "2pc.prepare.begin");
-
-  // Phase one downward: prepare datagrams to every child, in parallel. The
-  // sender serializes sends, so each datagram after the first delays by half
-  // a datagram time (the paper's half-datagram estimate, Table 5-3 note).
-  auto votes = std::make_shared<sim::Channel<std::pair<NodeId, Vote>>>(sched);
-  int expected = 0;
+  // A 2PC prepare carries the sibling list so an in-doubt participant can
+  // run cooperative termination if this coordinator later crashes; a
+  // paxos-prepare carries the participant and acceptor sets, so any survivor
+  // can later run a takeover.
+  const std::vector<NodeId> siblings =
+      leader ? txn.siblings : std::vector<NodeId>(children.begin(), children.end());
+  const std::vector<NodeId> acceptors = leader ? txn.acceptors : std::vector<NodeId>();
+  const TransactionId tid = txn.top;
+  const NodeId self = node_.id();
   bool first_send = true;
-  for (NodeId child : info.children) {
-    TransactionManager* child_tm = Peer(child);
-    if (child_tm == nullptr) {
-      return Vote::kNo;  // child crashed: cannot guarantee its updates
-    }
+  for (NodeId child : children) {
+    // The sender serializes sends, so each datagram after the first delays
+    // by half a datagram time (the paper's half-datagram estimate, Table 5-3
+    // note).
     if (!first_send) {
-      sched.Charge(sub.CostOf(sim::Primitive::kDatagram) / 2);
+      sub.scheduler().Charge(sub.CostOf(sim::Primitive::kDatagram) / 2);
     }
     first_send = false;
-    ++expected;
-    TransactionId tid = txn.top;
-    NodeId self = node_.id();
-    comm::CommManager* child_cm = &child_tm->cm_;
-    // The prepare carries the sibling list so an in-doubt participant can
-    // run cooperative termination if this coordinator later crashes.
-    std::vector<NodeId> siblings(info.children.begin(), info.children.end());
-    cm_.SendDatagram(child, "2pc-prepare",
-                     [child_tm, child_cm, tid, self, votes, child, siblings] {
-                       Vote v = child_tm->HandlePrepare(tid, self, siblings);
-                       child_cm->SendDatagram(
-                           self, "2pc-vote", [votes, child, v] { votes->Push({child, v}); });
+    TransactionManager* child_tm = Peer(child);
+    cm_.SendDatagram(child, leader ? "paxos-prepare" : "2pc-prepare",
+                     [child_tm, tid, self, child, siblings, acceptors, votes, leader] {
+                       PaxosVote v = child_tm->HandlePrepare(tid, self, siblings, acceptors,
+                                                             leader ? votes : nullptr);
+                       if (!leader) {
+                         child_tm->cm_.SendDatagram(self, "2pc-vote", [votes, tid, child, v] {
+                           votes->Push(PaxosVoteMsg{tid, child, v});
+                         });
+                       }
                      });
   }
+  return true;
+}
 
-  // Local prepare: ask each joined server whether it wrote updates. A server
-  // with updates ships its buffered log images to the Recovery Manager with
-  // its prepare work (one large message).
-  bool local_updates = false;
+bool TransactionManager::PrepareLocalServers(const Txn& txn) {
+  sim::Substrate& sub = node_.substrate();
+  bool updates = false;
   for (CommitParticipant* s : txn.servers) {
     sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // TM -> server: prepare
     if (s->HasUpdates(txn.tid)) {
-      local_updates = true;
+      updates = true;
       sub.ChargeSystemMessage(sim::Primitive::kLargeMessage, 1);
     }
     sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // server -> TM: vote
   }
+  return updates;
+}
 
+bool TransactionManager::CollectVotes(const TransactionId& tid, VoteChannel& votes,
+                                      size_t participants, std::map<NodeId, PaxosVote>& vote_of) {
+  sim::Substrate& sub = node_.substrate();
+  sim::Scheduler& sched = sub.scheduler();
+  // One deadline across ALL votes: children prepared in parallel, so the
+  // wait budget must not scale with the child count. A vote already queued
+  // consumes none of it, and a zero budget still pops it without waiting.
+  SimTime deadline = sched.Now() + vote_timeout_;
+  while (vote_of.size() < participants) {
+    PaxosVoteMsg m;
+    if (!votes.PopWithTimeout(std::max<SimTime>(deadline - sched.Now(), 0), &m)) {
+      return false;  // lost vote or crashed child
+    }
+    sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // CM -> TM: vote arrived
+    if (m.tid != tid || !vote_of.emplace(m.participant, m.vote).second) {
+      continue;  // a duplicated datagram
+    }
+    // Re-resolve after the wait: an abort may have erased the entry meanwhile.
+    Txn* txn = Find(tid);
+    if (txn == nullptr) {
+      return false;
+    }
+    if (m.vote == PaxosVote::kPrepared) {
+      txn->update_children.insert(m.participant);  // phase two goes to it
+    }
+  }
+  return true;
+}
+
+PaxosVote TransactionManager::PrepareSubtree(Txn& txn) {
+  sim::Substrate& sub = node_.substrate();
+  sim::SpanGuard span(sub.tracer(), sim::Component::kTransactionManager, "2pc.prepare",
+                      sub.tracer().enabled() ? ToString(txn.top) : std::string());
+  auto votes = std::make_shared<VoteChannel>(sub.scheduler());
+  if (!SendPrepares(txn, votes, /*leader=*/false)) {
+    return PaxosVote::kAborted;
+  }
+  const TransactionId tid = txn.top;  // `txn` may be erased while votes are awaited
+  const size_t participants = cm_.InfoFor(tid).children.size() + 1;
+  std::map<NodeId, PaxosVote> vote_of;
+  vote_of[node_.id()] = PrepareLocalServers(txn) ? PaxosVote::kPrepared : PaxosVote::kReadOnly;
   // Prepares are on the wire (and the local vote is computed) but no remote
   // vote has been consumed yet.
   FAULT_POINT(sub, "2pc.prepare.before_votes");
-  bool any_no = false;
-  bool child_updates = false;
-  // One deadline across ALL votes: children prepared in parallel, so the
-  // coordinator's wait budget must not scale with the child count (a lost
-  // vote previously restarted the timeout per child, waiting up to
-  // children x vote_timeout_). A vote already queued consumes none of it.
-  SimTime vote_deadline = sched.Now() + vote_timeout_;
-  for (int i = 0; i < expected; ++i) {
-    std::pair<NodeId, Vote> v;
-    // A zero budget still pops an already-delivered vote without waiting.
-    SimTime remaining = std::max<SimTime>(vote_deadline - sched.Now(), 0);
-    if (!votes->PopWithTimeout(remaining, &v)) {
-      any_no = true;  // lost vote or crashed child: abort is always safe
-      break;
-    }
-    sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // CM -> TM: vote arrived
-    if (v.second == Vote::kNo) {
-      any_no = true;
-    } else if (v.second == Vote::kYes) {
-      child_updates = true;
-      txn.update_children.insert(v.first);
-    }
+  if (!CollectVotes(tid, *votes, participants, vote_of) ||
+      AnyVote(vote_of, PaxosVote::kAborted)) {
+    return PaxosVote::kAborted;  // abort is always safe
   }
-  if (any_no) {
-    return Vote::kNo;
-  }
-  if (!local_updates && !child_updates) {
-    return Vote::kReadOnly;
-  }
-  return Vote::kYes;
+  return AnyVote(vote_of, PaxosVote::kPrepared) ? PaxosVote::kPrepared : PaxosVote::kReadOnly;
 }
 
-TransactionManager::Vote TransactionManager::HandlePrepare(const TransactionId& tid,
-                                                           NodeId parent_node,
-                                                           const std::vector<NodeId>& siblings) {
+Status TransactionManager::AwaitPredecessorsOrAbort(const TransactionId& tid) {
+  if (!op_queue_.enabled()) {
+    return Status::kOk;
+  }
+  // Queue mode: a dependent may not make its vote or decision durable before
+  // its predecessors decide — it may have read their early-released, still
+  // undecided state. Wait out every commit dependency, then re-resolve: a
+  // predecessor's abort may have cascaded to this transaction while it slept
+  // (the entry is then owned by the cascade, or already gone).
+  Status ws = op_queue_.AwaitPredecessors(tid, vote_timeout_);
+  Txn* txn = Find(tid);
+  if (txn == nullptr || txn->state == TxnState::kAborted || AbortInProgress(*txn)) {
+    return Status::kAborted;
+  }
+  if (ws != Status::kOk) {
+    AbortSubtree(*txn, /*notify_children=*/true);
+    ForgetTxn(tid);
+    return Status::kVoteNo;
+  }
+  return Status::kOk;
+}
+
+bool TransactionManager::BecomePrepared(Txn& txn, Lsn* deferred) {
+  sim::Substrate& sub = node_.substrate();
+  const TransactionId tid = txn.tid;
+  sub.scheduler().Charge(sub.costs().participant_prepare_overhead_us);
+  // The subtree voted yes but the prepare record is still volatile: a crash
+  // here means this participant never prepared, and presumed abort applies.
+  FAULT_POINT(sub, "2pc.vote.before_record");
+  // The record carries the sibling and acceptor sets, so an in-doubt
+  // participant can be resolved after ANY combination of crashes.
+  ForceTxnRecord(RecordType::kTxnPrepare, txn, deferred);
+  // Prepared and in doubt: a crash here must leave the updates locked until
+  // the verdict is learned.
+  FAULT_POINT(sub, "2pc.vote.after_record");
+  Txn* after_force = Find(tid);
+  if (after_force == nullptr || AbortInProgress(*after_force)) {
+    return false;
+  }
+  txn.state = TxnState::kPrepared;
+  logged_outcomes_[tid] = TxnOutcome::kPrepared;
+  logged_parent_node_[tid] = txn.parent_node;
+  return true;
+}
+
+PaxosVote TransactionManager::HandlePrepare(const TransactionId& tid, NodeId parent_node,
+                                            const std::vector<NodeId>& siblings,
+                                            const std::vector<NodeId>& acceptors,
+                                            VoteChannelPtr votes) {
   sim::Substrate& sub = node_.substrate();
   sim::PhaseScope commit_phase(sub.metrics(), sim::Phase::kCommit);
-  sim::SpanGuard span(sub.tracer(), sim::Component::kTransactionManager, "2pc.handle-prepare",
+  sim::SpanGuard span(sub.tracer(), sim::Component::kTransactionManager,
+                      votes != nullptr ? "paxos.handle-prepare" : "2pc.handle-prepare",
                       sub.tracer().enabled() ? ToString(tid) : std::string());
+  PaxosVote vote = PrepareParticipant(tid, parent_node, siblings, acceptors);
+  if (votes != nullptr) {
+    paxos_->SendVote(tid, vote, parent_node, votes);
+  }
+  return vote;
+}
+
+PaxosVote TransactionManager::PrepareParticipant(const TransactionId& tid, NodeId parent_node,
+                                                 const std::vector<NodeId>& siblings,
+                                                 const std::vector<NodeId>& acceptors) {
+  sim::Substrate& sub = node_.substrate();
   Txn* found = Find(tid);
   if (found == nullptr) {
     // We never saw an operation for this transaction: read-only by vacuity.
     // But a transaction this node aborted and rolled back (an orphan sweep
-    // racing the prepare datagram) must vote No — its updates are undone,
-    // so a yes-side vote could commit a transaction missing them.
-    return OutcomeOf(tid) == TxnOutcome::kAborted ? Vote::kNo : Vote::kReadOnly;
+    // racing the prepare datagram) must vote Aborted — its updates are
+    // undone, so a yes-side vote could commit a transaction missing them.
+    return OutcomeOf(tid) == TxnOutcome::kAborted ? PaxosVote::kAborted : PaxosVote::kReadOnly;
   }
   Txn& txn = *found;
   if (txn.state == TxnState::kAborted) {
-    return Vote::kNo;
+    return PaxosVote::kAborted;
   }
   // CM -> TM: prepare arrived; TM -> CM: vote handed back for the wire.
   sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 2);
   txn.parent_node = parent_node;
   txn.siblings = siblings;
+  txn.acceptors = acceptors;
   txn.state = TxnState::kPreparing;
 
-  Vote v = PrepareSubtree(txn);
+  PaxosVote v = PrepareSubtree(txn);
   // PrepareSubtree blocks awaiting child votes, and the prepare force below
   // blocks too: either wait can overlap the coordinator's vote timeout, whose
   // abort message rolls this subtree back and erases the Txn while we sleep.
   // Re-resolve the entry after every blocking window — a stale vote must not
   // touch (or resurrect) a transaction that was aborted and forgotten.
   if (Find(tid) == nullptr) {
-    return Vote::kNo;
+    return PaxosVote::kAborted;
   }
-  if (v == Vote::kNo) {
+  if (v == PaxosVote::kAborted) {
     AbortSubtree(txn, /*notify_children=*/true);
     ForgetTxn(tid);
-    return Vote::kNo;
+    return PaxosVote::kAborted;
   }
-  if (op_queue_.enabled()) {
-    // Even a read-only vote must wait: the subtree may have read a
-    // predecessor's early-released (still undecided) state, and voting it
-    // through would let the coordinator commit a dirty read.
-    Status ws = op_queue_.AwaitPredecessors(tid, vote_timeout_);
-    Txn* again = Find(tid);
-    if (again == nullptr || again->state == TxnState::kAborted || AbortInProgress(*again)) {
-      return Vote::kNo;
-    }
-    if (ws != Status::kOk) {
-      AbortSubtree(txn, /*notify_children=*/true);
-      ForgetTxn(tid);
-      return Vote::kNo;
-    }
+  // Even a read-only vote must wait: the subtree may have read a
+  // predecessor's early-released (still undecided) state, and voting it
+  // through would let the coordinator commit a dirty read.
+  if (AwaitPredecessorsOrAbort(tid) != Status::kOk) {
+    return PaxosVote::kAborted;
   }
-  if (v == Vote::kReadOnly) {
+  if (v == PaxosVote::kReadOnly) {
     // Read-only optimization: release locks now and drop out of phase two.
+    // Under Paxos Commit this instance only runs (carried in the leader's
+    // accept bundles) if some OTHER participant voted Prepared.
     sub.scheduler().Charge(sub.costs().participant_read_overhead_us);
     for (CommitParticipant* s : txn.servers) {
       sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // TM -> server: release
       s->OnCommit(tid);
     }
     ForgetTxn(tid);
-    return Vote::kReadOnly;
+    return PaxosVote::kReadOnly;
   }
   // Updates here (or below): become prepared — in doubt until the verdict.
-  sub.scheduler().Charge(sub.costs().participant_prepare_overhead_us);
-  // The subtree voted yes but the prepare record is still volatile: a crash
-  // here means this participant never prepared, and presumed abort applies.
-  FAULT_POINT(sub, "2pc.vote.before_record");
-  if (op_queue_.enabled()) {
-    // In-doubt early release: the outcome is undecided until the verdict, so
-    // the released objects are tainted and any successor granted a lock on
-    // them becomes commit-dependent on this transaction.
-    Lsn lsn = AppendTxnRecord(RecordType::kTxnPrepare, txn, /*force=*/false);
-    FAULT_POINT(sub, "queue.prepare.early-release");
-    EarlyRelease(txn, /*taint=*/true);
-    ForceLsn(lsn);
-  } else {
-    AppendTxnRecord(RecordType::kTxnPrepare, txn, /*force=*/true);
-  }
-  // Prepared and in doubt: a crash here must leave the updates locked until
-  // the coordinator's verdict is learned.
-  FAULT_POINT(sub, "2pc.vote.after_record");
-  Txn* after_force = Find(tid);
-  if (after_force == nullptr || AbortInProgress(*after_force)) {
-    return Vote::kNo;  // aborted (or being aborted) during the prepare force
-  }
-  txn.state = TxnState::kPrepared;
-  logged_outcomes_[tid] = TxnOutcome::kPrepared;
-  logged_parent_node_[tid] = parent_node;
-  return Vote::kYes;
+  // An abort during the prepare force votes Aborted at once, so the
+  // coordinator need not wait out its vote timeout to learn it.
+  return BecomePrepared(txn, nullptr) ? PaxosVote::kPrepared : PaxosVote::kAborted;
 }
 
 void TransactionManager::CommitSubtree(Txn& txn, bool is_root) {

@@ -32,6 +32,7 @@
 #include <functional>
 #include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -75,6 +76,44 @@ WorldOptions PaxosExplorationOptions() {
   opt.commit_mode = txn::CommitMode::kPaxosCommit;
   opt.paxos_f = 1;  // 3 acceptors on a 3-node world: quorum survives any one crash
   return opt;
+}
+
+// The exact fault-point surface the workload reaches in each commit mode,
+// the same for every seed. Pinned (rather than floored) so a refactor of the
+// commit path cannot silently drop or rename a FAULT_POINT: a change here
+// must be deliberate, with the old-to-new mapping recorded.
+const std::set<std::string> kTwoPhasePoints = {
+    "2pc.abort.after_record", "2pc.abort.before_record", "2pc.commit.after_acks",
+    "2pc.commit.after_record", "2pc.commit.before_acks", "2pc.commit.before_record",
+    "2pc.participant.after_commit", "2pc.participant.before_commit",
+    "2pc.prepare.before_votes", "2pc.prepare.begin", "2pc.readonly-skip",
+    "2pc.vote.after_record", "2pc.vote.before_record", "checkpoint.after_force",
+    "checkpoint.before_append", "gc.flush.after_force", "gc.flush.before_force",
+    "log.force.after_write", "log.force.before_write", "reclaim.after_truncate",
+    "reclaim.before_flush", "reclaim.before_truncate", "segment.writeback.after_disk",
+    "segment.writeback.before_disk",
+};
+const std::set<std::string> kPaxosPoints = {
+    "2pc.abort.after_record", "2pc.abort.before_record", "2pc.commit.after_acks",
+    "2pc.commit.after_record", "2pc.commit.before_acks", "2pc.commit.before_record",
+    "2pc.participant.after_commit", "2pc.participant.before_commit",
+    "2pc.prepare.before_votes", "2pc.prepare.begin", "2pc.vote.after_record",
+    "2pc.vote.before_record", "checkpoint.after_force", "checkpoint.before_append",
+    "comm.accept-bundle", "gc.flush.after_force", "gc.flush.before_force",
+    "log.force.after_write", "log.force.before_write", "paxos.accept-log",
+    "paxos.accept-send", "paxos.learn", "paxos.local-commit", "paxos.readonly-skip",
+    "paxos.vote-send", "reclaim.after_truncate", "reclaim.before_flush",
+    "reclaim.before_truncate", "segment.writeback.after_disk",
+    "segment.writeback.before_disk",
+};
+
+std::set<std::string> ReachedPoints(World& world) {
+  const auto& points = world.faults().distinct_points();
+  return {points.begin(), points.end()};
+}
+
+const std::set<std::string>& ExpectedPoints(const WorldOptions& opt) {
+  return opt.commit_mode == txn::CommitMode::kPaxosCommit ? kPaxosPoints : kTwoPhasePoints;
 }
 
 void Fold(Ledger& into, const Ledger& deltas) {
@@ -373,8 +412,8 @@ TEST_P(CrashPointExplorationTest, EveryReachedFaultPointRecoversConsistently) {
     RunWorkload(world, seed, b1, b2, b3, m);
     EXPECT_FALSE(world.faults().crash_fired());
     hits = world.faults().recorded_hits();
-    ASSERT_GE(world.faults().distinct_points().size(), 20u)
-        << "workload no longer exercises the fault surface";
+    ASSERT_EQ(ReachedPoints(world), ExpectedPoints(ExplorationOptions()))
+        << "the workload's fault-point surface changed";
     // This suite follows TABS_COMMIT_MODE (the CI matrix runs it under both
     // protocols), so the fast-path point it must reach depends on the mode.
     const char* skip_point =
@@ -444,7 +483,7 @@ TEST(CrashPointCoverage, PrintsCoverageSummary) {
     distinct += points;
   }
   std::printf("total        %2d points\n", distinct);
-  EXPECT_GE(distinct, 20);
+  EXPECT_EQ(ReachedPoints(world), ExpectedPoints(ExplorationOptions()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrashPointExplorationTest,
@@ -499,6 +538,8 @@ TEST_P(PaxosCrashPointExplorationTest, SurvivorsResolveEveryPaxosFaultPoint) {
     RunWorkload(world, seed, b1, b2, b3, m);
     EXPECT_FALSE(world.faults().crash_fired());
     hits = world.faults().recorded_hits();
+    ASSERT_EQ(ReachedPoints(world), kPaxosPoints)
+        << "the paxos workload's fault-point surface changed";
     CheckInvariants(world, m, seed, "paxos-no-fault");
     ASSERT_FALSE(::testing::Test::HasFailure()) << "fault-free run is already inconsistent";
   }
@@ -513,10 +554,8 @@ TEST_P(PaxosCrashPointExplorationTest, SurvivorsResolveEveryPaxosFaultPoint) {
     counts[h.point] = std::max(counts[h.point], h.hit);
   }
   std::vector<std::pair<std::string, int>> plan;
-  int paxos_points = 0;
   for (const auto& [point, count] : counts) {
     bool paxos = point.rfind("paxos.", 0) == 0;
-    paxos_points += paxos ? 1 : 0;
     if (!paxos && point != "comm.accept-bundle" &&
         point.rfind("2pc.vote.", 0) != 0) {
       continue;
@@ -526,7 +565,6 @@ TEST_P(PaxosCrashPointExplorationTest, SurvivorsResolveEveryPaxosFaultPoint) {
       plan.emplace_back(point, count / 2 + 1);
     }
   }
-  ASSERT_GE(paxos_points, 4) << "paxos workload no longer reaches its fault surface";
   ASSERT_GT(counts.count("paxos.readonly-skip"), 0u)
       << "read-only audit no longer takes the Paxos fast path";
   ASSERT_GT(counts.count("paxos.local-commit"), 0u)

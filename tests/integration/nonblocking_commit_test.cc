@@ -401,5 +401,72 @@ TEST(PaxosBatchedAcceptTest, TornBundleForceTruncatesAndRollsBack) {
   });
 }
 
+// --- a participant aborted during its prepare votes No at once ---------------
+
+// A participant that is aborted while its prepare record is being forced
+// (here: a participant-side Abort during a delay right after the force) must
+// vote No/Aborted immediately in BOTH modes. A silent participant costs its
+// leader the whole vote timeout plus a takeover — a forced promise at every
+// acceptor — to learn an abort that two-phase commit reports at once.
+void AbortDuringPrepareVotesNoAtOnce(CommitMode mode) {
+  WorldOptions opt = PaxosOptions();
+  opt.commit_mode = mode;
+  World world(3, opt);
+  auto* a2 = world.AddServerOf<ArrayServer>(2, "a2", 4u);
+
+  // The coordinator (node 1) joins no local server, so the only
+  // 2pc.vote.after_record hit is the participant's, on node 2.
+  world.faults().StartRecording();  // keeps counting hits after the delay fires
+  world.faults().ArmDelay("2pc.vote.after_record", 500'000);
+
+  TransactionId tid;
+  Status end = Status::kInternal;
+  SimTime commit_us = -1;
+  world.SpawnApp(1, "coordinator", [&](Application& app) {
+    tid = app.Begin();
+    ASSERT_EQ(a2->SetCell(app.MakeTx(tid), 0, 42), Status::kOk);
+    SimTime start = world.scheduler().Now();
+    end = app.End(tid);
+    commit_us = world.scheduler().Now() - start;
+  });
+  world.SpawnApp(2, "aborter", [&](Application& app) {
+    // Poll until the participant sits in the delay, then abort it there.
+    for (int i = 0; i < 100'000 && world.faults().HitCount("2pc.vote.after_record") == 0; ++i) {
+      world.scheduler().Charge(1'000);
+      world.scheduler().Yield();
+    }
+    app.Abort(tid);
+  });
+  EXPECT_EQ(world.Drain(), 0);
+
+  ASSERT_EQ(world.faults().HitCount("2pc.vote.after_record"), 1);
+  for (const auto& h : world.faults().recorded_hits()) {
+    if (h.point == "2pc.vote.after_record") {
+      EXPECT_EQ(h.node, 2u);
+    }
+  }
+  EXPECT_EQ(end, Status::kVoteNo);
+  EXPECT_GE(commit_us, 0);
+  EXPECT_LT(commit_us, opt.vote_timeout_us / 4) << "the leader waited for a vote that never came";
+  EXPECT_EQ(world.faults().HitCount("paxos.takeover"), 0);
+  for (NodeId n = 1; n <= 3; ++n) {
+    EXPECT_TRUE(world.tm(n).InDoubt().empty()) << "node " << n;
+  }
+  world.RunApp(1, [&](Application& app) {
+    app.Transaction([&](const server::Tx& tx) {
+      EXPECT_EQ(a2->GetCell(tx, 0).value(), 0);  // the write was rolled back
+      return Status::kOk;
+    });
+  });
+}
+
+TEST(AbortedParticipantTest, TwoPhaseVotesNoAtOnce) {
+  AbortDuringPrepareVotesNoAtOnce(CommitMode::kTwoPhase);
+}
+
+TEST(AbortedParticipantTest, PaxosVotesAbortedAtOnce) {
+  AbortDuringPrepareVotesNoAtOnce(CommitMode::kPaxosCommit);
+}
+
 }  // namespace
 }  // namespace tabs
