@@ -166,7 +166,7 @@ void Run() {
                 row.per_second(), row.aborted, row.p50 / 1000.0, row.p99 / 1000.0,
                 row.cross_shard_pct());
     json.BeginObject();
-    json.String("name", "n" + std::to_string(row.nodes));
+    json.String("name", std::string("n").append(std::to_string(row.nodes)));
     json.Number("nodes", row.nodes);
     json.Number("shards", row.nodes);
     json.Number("clients", row.clients);

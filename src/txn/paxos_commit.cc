@@ -13,7 +13,6 @@
 #include <memory>
 #include <set>
 
-#include "src/log/group_commit.h"
 #include "src/sim/fault_injector.h"
 #include "src/txn/transaction_manager.h"
 
@@ -95,17 +94,6 @@ Lsn PaxosCommit::AppendPaxosRecord(RecordType type, const TransactionId& tid,
   return lsn;
 }
 
-void PaxosCommit::ForceLog(Lsn lsn) {
-  // TM -> RM force request and completion, then the stable write itself
-  // (charged by the log manager) — same price as a 2PC prepare force.
-  tm_.node_.substrate().ChargeSystemMessage(sim::Primitive::kSmallMessage, 2);
-  if (tm_.group_commit_ != nullptr) {
-    tm_.group_commit_->WaitStable(lsn);
-  } else {
-    tm_.rm_.log().ForceAll();
-  }
-}
-
 // --- participant/leader side -------------------------------------------------
 
 void PaxosCommit::SendVote(const TransactionId& tid, PaxosVote vote, NodeId leader,
@@ -131,10 +119,8 @@ void PaxosCommit::SendVote(const TransactionId& tid, PaxosVote vote, NodeId lead
 bool PaxosCommit::AcceptAtBallotZero(const TransactionId& tid,
                                      const std::vector<InstanceValue>& values,
                                      const std::vector<NodeId>& acceptors, Lsn prepare_lsn) {
-  sim::Substrate& sub = tm_.node_.substrate();
-  sim::Scheduler& sched = sub.scheduler();
   NodeId me = self();
-  auto replies = std::make_shared<AcceptChannel>(sched);
+  auto replies = std::make_shared<AcceptChannel>(tm_.node_.substrate().scheduler());
   size_t sent = 0;
   // The local acceptor runs first, before anything reaches the wire: its
   // forced acceptance covers the caller's deferred prepare record (lower
@@ -146,46 +132,47 @@ bool PaxosCommit::AcceptAtBallotZero(const TransactionId& tid,
     bool accepted = AcceptBundle(tid, 0, values, me, replies);
     ++sent;
     if (!accepted && prepare_lsn != kNullLsn) {
-      ForceLog(prepare_lsn);  // stale local acceptor: force the prepare directly
+      tm_.ForceLsn(prepare_lsn);  // stale local acceptor: force the prepare directly
     }
   } else if (prepare_lsn != kNullLsn) {
-    ForceLog(prepare_lsn);  // no local acceptance to ride on
+    tm_.ForceLsn(prepare_lsn);  // no local acceptance to ride on
   }
-  bool first_send = true;
-  for (NodeId a : acceptors) {
-    if (a == me) {
-      continue;
-    }
-    TransactionManager* atm = tm_.Peer(a);
-    if (atm == nullptr) {
-      continue;  // dead acceptor: a quorum of the others suffices
-    }
-    if (!first_send) {
-      sched.Charge(sub.CostOf(sim::Primitive::kDatagram) / 2);
-    }
-    first_send = false;
-    ++sent;
-    PaxosCommit* ap = atm->paxos_.get();
+  // Dead acceptors are skipped: a quorum of the others suffices.
+  sent += tm_.FanOut(acceptors, /*serialized=*/true, [&](NodeId a, TransactionManager& atm) {
     tm_.cm_.SendBundledDatagram(a, "paxos-accept-bundle", values.size(),
-                                [ap, tid, values, me, replies] {
+                                [ap = atm.paxos_.get(), tid, values, me, replies] {
                                   ap->AcceptBundle(tid, 0, values, me, replies);
                                 });
-  }
+  });
+  return AwaitQuorum(*replies, sent, Quorum(acceptors), [&tid](const PaxosAccepted& a) {
+    return a.tid == tid && a.ballot == 0 && a.ok ? Tally::kCount : Tally::kSkip;
+  });
+}
 
-  const size_t quorum = Quorum(acceptors);
-  std::set<NodeId> acked;
-  SimTime deadline = sched.Now() + tm_.vote_timeout_;
-  for (size_t i = 0; i < sent && acked.size() < quorum; ++i) {
-    PaxosAccepted a;
-    if (!replies->PopWithTimeout(std::max<SimTime>(deadline - sched.Now(), 0), &a)) {
+template <typename Reply, typename TallyFn>
+bool PaxosCommit::AwaitQuorum(sim::Channel<Reply>& replies, size_t sent, size_t quorum,
+                              TallyFn tally) {
+  sim::Substrate& sub = tm_.node_.substrate();
+  sim::Scheduler& sched = sub.scheduler();
+  std::set<NodeId> counted;
+  const SimTime deadline = sched.Now() + tm_.vote_timeout_;
+  for (size_t i = 0; i < sent && counted.size() < quorum; ++i) {
+    Reply r;
+    if (!replies.PopWithTimeout(std::max<SimTime>(deadline - sched.Now(), 0), &r)) {
       break;
     }
-    sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // CM -> TM: 2b arrived
-    if (a.tid == tid && a.ballot == 0 && a.ok) {
-      acked.insert(a.acceptor);
+    sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // CM -> TM: reply arrived
+    switch (tally(r)) {
+      case Tally::kCount:
+        counted.insert(r.acceptor);  // a duplicated reply counts nothing new
+        break;
+      case Tally::kStop:
+        return false;
+      case Tally::kSkip:
+        break;
     }
   }
-  return acked.size() >= quorum;
+  return counted.size() >= quorum;
 }
 
 int PaxosCommit::Resolve(const TransactionId& tid, const std::vector<NodeId>& participants,
@@ -245,51 +232,36 @@ int PaxosCommit::RunTakeover(const TransactionId& tid,
 
     // ---- phase 1: promises from an acceptor quorum ----
     auto promises = std::make_shared<PromiseChannel>(sched);
-    size_t sent = 0;
-    bool first_send = true;
-    for (NodeId a : acceptors) {
-      if (a == me) {
-        promises->Push(Promise(tid, b));
-        ++sent;
-        continue;
-      }
-      TransactionManager* atm = tm_.Peer(a);
-      if (atm == nullptr) {
-        continue;
-      }
-      if (!first_send) {
-        sched.Charge(sub.CostOf(sim::Primitive::kDatagram) / 2);
-      }
-      first_send = false;
-      ++sent;
-      PaxosCommit* ap = atm->paxos_.get();
-      comm::CommManager* acm = &atm->cm_;
-      tm_.cm_.SendDatagram(a, "paxos-ballot", [ap, acm, tid, b, me, promises] {
-        PaxosPromise p = ap->Promise(tid, b);
-        acm->SendDatagram(me, "paxos-promise", [promises, p] { promises->Push(p); });
-      });
-    }
+    size_t sent = tm_.FanOut(
+        acceptors, /*serialized=*/true,
+        [&](NodeId a, TransactionManager& atm) {
+          tm_.cm_.SendDatagram(
+              a, "paxos-ballot", [ap = atm.paxos_.get(), acm = &atm.cm_, tid, b, me, promises] {
+                PaxosPromise p = ap->Promise(tid, b);
+                acm->SendDatagram(me, "paxos-promise", [promises, p] { promises->Push(p); });
+              });
+        },
+        [&] { promises->Push(Promise(tid, b)); });
 
     std::vector<PaxosPromise> oks;
     Ballot highest = b;
-    SimTime deadline = sched.Now() + tm_.vote_timeout_;
-    for (size_t i = 0; i < sent && oks.size() < quorum; ++i) {
-      PaxosPromise p;
-      SimTime remaining = std::max<SimTime>(deadline - sched.Now(), 0);
-      if (!promises->PopWithTimeout(remaining, &p)) {
-        break;
-      }
-      sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // CM -> TM
+    int learned = 0;
+    const bool have_quorum = AwaitQuorum(*promises, sent, quorum, [&](const PaxosPromise& p) {
       if (p.learned != 0) {
-        return p.learned;  // an acceptor already knows the outcome: adopt it
+        learned = p.learned;
+        return Tally::kStop;
       }
-      if (p.ok) {
-        oks.push_back(std::move(p));
-      } else {
+      if (!p.ok) {
         highest = std::max(highest, p.promised);
+        return Tally::kSkip;
       }
+      oks.push_back(p);
+      return Tally::kCount;
+    });
+    if (learned != 0) {
+      return learned;  // an acceptor already knows the outcome: adopt it
     }
-    if (oks.size() < quorum) {
+    if (!have_quorum) {
       if (highest <= b) {
         return 0;  // no quorum reachable: still in doubt, locks stay held
       }
@@ -324,58 +296,22 @@ int PaxosCommit::RunTakeover(const TransactionId& tid,
 
     // ---- phase 2: accept-all at ballot b ----
     auto acks = std::make_shared<AcceptChannel>(sched);
-    size_t sent2 = 0;
-    first_send = true;
-    for (NodeId a : acceptors) {
-      if (a == me) {
-        PaxosAccepted r;
-        r.tid = tid;
-        r.acceptor = me;
-        r.ballot = b;
-        r.ok = AcceptAll(tid, b, values);
-        acks->Push(r);
-        ++sent2;
-        continue;
-      }
-      TransactionManager* atm = tm_.Peer(a);
-      if (atm == nullptr) {
-        continue;
-      }
-      if (!first_send) {
-        sched.Charge(sub.CostOf(sim::Primitive::kDatagram) / 2);
-      }
-      first_send = false;
-      ++sent2;
-      PaxosCommit* ap = atm->paxos_.get();
-      comm::CommManager* acm = &atm->cm_;
-      NodeId aid = a;
-      tm_.cm_.SendDatagram(a, "paxos-accept", [ap, acm, tid, b, me, aid, values, acks] {
-        PaxosAccepted r;
-        r.tid = tid;
-        r.acceptor = aid;
-        r.ballot = b;
-        r.ok = ap->AcceptAll(tid, b, values);
-        acm->SendDatagram(me, "paxos-accept-ack", [acks, r] { acks->Push(r); });
-      });
-    }
+    sent = tm_.FanOut(
+        acceptors, /*serialized=*/true,
+        [&](NodeId a, TransactionManager& atm) {
+          tm_.cm_.SendDatagram(a, "paxos-accept", [ap = atm.paxos_.get(), acm = &atm.cm_, tid, b,
+                                                   me, a, values, acks] {
+            PaxosAccepted r{tid, a, b, ap->AcceptAll(tid, b, values)};
+            acm->SendDatagram(me, "paxos-accept-ack", [acks, r] { acks->Push(r); });
+          });
+        },
+        [&] { acks->Push(PaxosAccepted{tid, me, b, AcceptAll(tid, b, values)}); });
 
-    size_t got = 0;
     bool nacked = false;
-    deadline = sched.Now() + tm_.vote_timeout_;
-    for (size_t i = 0; i < sent2 && got < quorum; ++i) {
-      PaxosAccepted r;
-      SimTime remaining = std::max<SimTime>(deadline - sched.Now(), 0);
-      if (!acks->PopWithTimeout(remaining, &r)) {
-        break;
-      }
-      sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // CM -> TM
-      if (r.ok) {
-        ++got;
-      } else {
-        nacked = true;
-      }
-    }
-    if (got < quorum) {
+    if (!AwaitQuorum(*acks, sent, quorum, [&nacked](const PaxosAccepted& r) {
+          nacked = nacked || !r.ok;
+          return r.ok ? Tally::kCount : Tally::kSkip;
+        })) {
       if (!nacked) {
         return 0;  // acceptors fell silent mid-phase-2: still in doubt
       }
@@ -394,19 +330,12 @@ int PaxosCommit::RunTakeover(const TransactionId& tid,
     // next takeover must see our phase-2 acceptances).
     FAULT_POINT(sub, "paxos.learn");
     BroadcastLearn(tid, outcome, acceptors);
-    bool committed = outcome > 0;
-    for (NodeId part : participants) {
-      if (part == me) {
-        continue;
-      }
-      TransactionManager* ptm = tm_.Peer(part);
-      if (ptm == nullptr) {
-        continue;  // dead participant learns through ResolveInDoubt at recovery
-      }
-      tm_.cm_.SendDatagram(part, "paxos-verdict", [ptm, tid, committed] {
+    // A dead participant learns through ResolveInDoubt at its recovery.
+    tm_.FanOut(participants, /*serialized=*/false, [&](NodeId part, TransactionManager& ptm) {
+      tm_.cm_.SendDatagram(part, "paxos-verdict", [ptm = &ptm, tid, committed = outcome > 0] {
         ptm->HandlePaxosVerdict(tid, committed);
       });
-    }
+    });
     return outcome;
   }
   return 0;  // repeatedly outpromised: give up for now, a later sweep retries
@@ -414,18 +343,13 @@ int PaxosCommit::RunTakeover(const TransactionId& tid,
 
 void PaxosCommit::BroadcastLearn(const TransactionId& tid, int outcome,
                                  const std::vector<NodeId>& acceptors) {
-  for (NodeId a : acceptors) {
-    if (a == self()) {
-      Learn(tid, outcome);
-      continue;
-    }
-    TransactionManager* atm = tm_.Peer(a);
-    if (atm == nullptr) {
-      continue;
-    }
-    PaxosCommit* ap = atm->paxos_.get();
-    tm_.cm_.SendDatagram(a, "paxos-learn", [ap, tid, outcome] { ap->Learn(tid, outcome); });
-  }
+  tm_.FanOut(
+      acceptors, /*serialized=*/false,
+      [&](NodeId a, TransactionManager& atm) {
+        tm_.cm_.SendDatagram(a, "paxos-learn",
+                             [ap = atm.paxos_.get(), tid, outcome] { ap->Learn(tid, outcome); });
+      },
+      [&] { Learn(tid, outcome); });
 }
 
 // --- acceptor side -----------------------------------------------------------
@@ -488,7 +412,7 @@ bool PaxosCommit::AcceptBundle(const TransactionId& tid, Ballot ballot,
     // One forced record covers every instance in the bundle: the per-tid
     // force count on an acceptor is 1 regardless of participant count.
     FAULT_POINT(sub, "paxos.accept-log");
-    ForceLog(AppendAcceptRecord(tid, ballot, values));
+    tm_.ForceLsn(AppendAcceptRecord(tid, ballot, values));
   }
   // The acceptances are durable but unreported: the leader times out and the
   // takeover path must find them here during phase 1.
@@ -528,7 +452,7 @@ PaxosPromise PaxosCommit::Promise(const TransactionId& tid, Ballot ballot) {
   st.promised = ballot;
   // The promise must survive this acceptor's crash, or a recovered acceptor
   // could accept a lower ballot it already promised away.
-  ForceLog(AppendPaxosRecord(RecordType::kPaxosPromise, tid, kInvalidNode, ballot,
+  tm_.ForceLsn(AppendPaxosRecord(RecordType::kPaxosPromise, tid, kInvalidNode, ballot,
                              PaxosVote::kNone));
   p.ok = true;
   p.promised = ballot;
@@ -554,7 +478,7 @@ bool PaxosCommit::AcceptAll(const TransactionId& tid, Ballot ballot,
   FAULT_POINT(sub, "paxos.accept-log");
   if (!values.empty()) {
     // One multi-instance record, one force — same shape as a ballot-0 bundle.
-    ForceLog(AppendAcceptRecord(tid, ballot, values));
+    tm_.ForceLsn(AppendAcceptRecord(tid, ballot, values));
   }
   return true;
 }
@@ -631,35 +555,18 @@ std::vector<recovery::RecoveryManager::ActiveTxn> PaxosCommit::PinnedInstances()
 // --- TransactionManager: verdicts and the dead-coordinator sweep -----------
 
 void TransactionManager::HandlePaxosVerdict(const TransactionId& tid, bool committed) {
-  sim::Substrate& sub = node_.substrate();
-  sim::PhaseScope commit_phase(sub.metrics(), sim::Phase::kCommit);
-  Txn* txn = Find(tid);
-  if (txn != nullptr && txn->state == TxnState::kPrepared) {
-    if (committed) {
-      HandleCommit(tid);
-    } else {
-      HandleAbortMsg(tid);
-    }
-    return;
-  }
-  if (in_doubt_.contains(tid)) {
-    ApplyRecoveredOutcome(tid, committed);
+  sim::PhaseScope commit_phase(node_.substrate().metrics(), sim::Phase::kCommit);
+  if (PreparedRecordOf(tid)) {
+    ApplyVerdict(tid, committed);
   }
 }
 
 void TransactionManager::ResolvePaxosOrphansOf(NodeId dead) {
-  std::set<TransactionId> doomed;
-  for (const auto& [tid, txn] : txns_) {
-    if (txn.state == TxnState::kPrepared && !txn.acceptors.empty() &&
-        txn.parent_node == dead) {
-      doomed.insert(tid);
-    }
-  }
-  for (const TransactionId& tid : in_doubt_) {
-    auto it = logged_parent_node_.find(tid);
-    if (it != logged_parent_node_.end() && it->second == dead &&
-        logged_acceptors_.contains(tid)) {
-      doomed.insert(tid);
+  std::vector<TransactionId> doomed;
+  for (const TransactionId& tid : InDoubt()) {
+    const std::optional<PrepareRecord> prepared = PreparedRecordOf(tid);
+    if (prepared && prepared->parent_node == dead && !prepared->acceptors.empty()) {
+      doomed.push_back(tid);
     }
   }
   for (const TransactionId& tid : doomed) {

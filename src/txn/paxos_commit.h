@@ -239,7 +239,18 @@ class PaxosCommit {
   // multi-instance) kPaxosAccept record covering all of them.
   Lsn AppendAcceptRecord(const TransactionId& tid, Ballot ballot,
                          const std::vector<InstanceValue>& values);
-  void ForceLog(Lsn lsn);
+  // The one quorum wait, behind the ballot-0 accept round and both takeover
+  // phases. Pops at most `sent` replies (one per message sent: a duplicated
+  // datagram cannot stretch the wait) against one vote-timeout deadline,
+  // charging one CM -> TM small message per reply popped, and asks `tally`
+  // what each reply is worth: kCount counts its acceptor toward `quorum`,
+  // kSkip ignores it, kStop ends the wait at once (phase 1 adopting a learned
+  // outcome). Each acceptor counts ONCE, so a duplicated promise or ack from
+  // one acceptor can never pass as a quorum. True once `quorum` distinct
+  // acceptors counted.
+  enum class Tally { kSkip, kCount, kStop };
+  template <typename Reply, typename TallyFn>
+  bool AwaitQuorum(sim::Channel<Reply>& replies, size_t sent, size_t quorum, TallyFn tally);
   // The ballot-driving loop behind Resolve (which adds the per-transaction
   // single-leader guard around it).
   int RunTakeover(const TransactionId& tid, const std::vector<NodeId>& participants,

@@ -205,15 +205,12 @@ void TransactionManager::AbortImpl(Txn& txn) {
     for (CommitParticipant* s : txn.servers) {
       s->OnAbort(tid);
     }
-    for (NodeId child : cm_.InfoFor(txn.top).children) {
-      TransactionManager* child_tm = Peer(child);
-      if (child_tm == nullptr) {
-        continue;
-      }
-      TransactionId top = txn.top;
-      cm_.SendDatagram(child, "subtxn-abort",
-                       [child_tm, tid, top] { child_tm->HandleSubtxnAbort(tid, top); });
-    }
+    FanOut(cm_.InfoFor(txn.top).children, /*serialized=*/false,
+           [&](NodeId child, TransactionManager& child_tm) {
+             cm_.SendDatagram(child, "subtxn-abort", [child_tm = &child_tm, tid, top = txn.top] {
+               child_tm->HandleSubtxnAbort(tid, top);
+             });
+           });
     txn.state = TxnState::kAborted;
     Txn* p = Find(txn.parent);
     if (p != nullptr) {
@@ -347,11 +344,7 @@ void TransactionManager::ObserveTxnRecord(const LogRecord& rec) {
       if (!logged_outcomes_.contains(rec.top)) {
         logged_outcomes_[rec.top] = TxnOutcome::kPrepared;
       }
-      logged_parent_node_[rec.top] = rec.parent_node;
-      logged_siblings_[rec.top] = rec.siblings;
-      if (!rec.acceptors.empty()) {
-        logged_acceptors_[rec.top] = rec.acceptors;
-      }
+      logged_prepares_[rec.top] = PrepareRecord{rec.parent_node, rec.siblings, rec.acceptors};
       break;
     case RecordType::kPaxosPromise:
     case RecordType::kPaxosAccept:
@@ -458,9 +451,8 @@ Status TransactionManager::ResolveInDoubt(const TransactionId& tid) {
   sim::SpanGuard span(node_.substrate().tracer(), sim::Component::kTransactionManager,
                       "txn.resolve-in-doubt",
                       node_.substrate().tracer().enabled() ? ToString(tid) : std::string());
-  bool recovered = in_doubt_.contains(tid);
-  Txn* live = Find(tid);
-  if (!recovered && (live == nullptr || live->state != TxnState::kPrepared)) {
+  const std::optional<PrepareRecord> prepared = PreparedRecordOf(tid);
+  if (!prepared) {
     return Status::kNotFound;
   }
   if (peers_ == nullptr) {
@@ -472,16 +464,7 @@ Status TransactionManager::ResolveInDoubt(const TransactionId& tid) {
   // may already know the verdict — Dwork/Skeen-style cooperative
   // termination, which shrinks the blocking window the paper notes plain
   // two-phase commit has.
-  NodeId parent = recovered ? logged_parent_node_[tid] : live->parent_node;
-  std::vector<NodeId> siblings;
-  if (recovered) {
-    auto it = logged_siblings_.find(tid);
-    if (it != logged_siblings_.end()) {
-      siblings = it->second;
-    }
-  } else {
-    siblings = live->siblings;
-  }
+  const std::vector<NodeId>& siblings = prepared->siblings;
 
   auto ask = [&](NodeId node, bool authoritative, bool* committed) -> bool {
     TransactionManager* tm = Peer(node);
@@ -511,22 +494,13 @@ Status TransactionManager::ResolveInDoubt(const TransactionId& tid) {
 
   bool committed = false;
   bool resolved = false;
-  std::vector<NodeId> acceptors;
-  if (recovered) {
-    auto it = logged_acceptors_.find(tid);
-    if (it != logged_acceptors_.end()) {
-      acceptors = it->second;
-    }
-  } else {
-    acceptors = live->acceptors;
-  }
-  if (!acceptors.empty()) {
+  if (!prepared->acceptors.empty()) {
     // Paxos Commit: the acceptors are authoritative, never the parent. In
     // particular the parent's presumed abort does NOT apply — a recovered,
     // locally-read-only coordinator has no commit record even for a
     // transaction the acceptors decided to commit, so asking it would split
     // the brain. The consensus read path is the only sound source.
-    int outcome = paxos_->Resolve(tid, siblings, acceptors);
+    int outcome = paxos_->Resolve(tid, siblings, prepared->acceptors);
     if (outcome == 0) {
       return Status::kNodeDown;  // no acceptor quorum; still in doubt
     }
@@ -534,14 +508,11 @@ Status TransactionManager::ResolveInDoubt(const TransactionId& tid) {
     resolved = true;
     // Resolve blocks on acceptor round-trips: a takeover verdict datagram
     // may have resolved this transaction while we waited.
-    if (!recovered && Find(tid) == nullptr) {
-      return committed ? Status::kOk : Status::kAborted;
-    }
-    if (recovered && !in_doubt_.contains(tid)) {
+    if (!PreparedRecordOf(tid)) {
       return committed ? Status::kOk : Status::kAborted;
     }
   } else {
-    resolved = ask(parent, /*authoritative=*/true, &committed);
+    resolved = ask(prepared->parent_node, /*authoritative=*/true, &committed);
     for (size_t i = 0; !resolved && i < siblings.size(); ++i) {
       if (siblings[i] == node_.id()) {
         continue;
@@ -552,18 +523,30 @@ Status TransactionManager::ResolveInDoubt(const TransactionId& tid) {
   if (!resolved) {
     return Status::kNodeDown;  // still in doubt; locks stay held
   }
-
-  if (!recovered) {
-    if (committed) {
-      HandleCommit(tid);
-      return Status::kOk;
-    }
-    HandleAbortMsg(tid);
-    return Status::kAborted;
-  }
-
-  ApplyRecoveredOutcome(tid, committed);
+  ApplyVerdict(tid, committed);
   return committed ? Status::kOk : Status::kAborted;
+}
+
+std::optional<TransactionManager::PrepareRecord> TransactionManager::PreparedRecordOf(
+    const TransactionId& tid) const {
+  if (in_doubt_.contains(tid)) {
+    return logged_prepares_.at(tid);
+  }
+  const Txn* live = Find(tid);
+  if (live == nullptr || live->state != TxnState::kPrepared) {
+    return std::nullopt;
+  }
+  return PrepareRecord{live->parent_node, live->siblings, live->acceptors};
+}
+
+void TransactionManager::ApplyVerdict(const TransactionId& tid, bool committed) {
+  if (in_doubt_.contains(tid)) {
+    ApplyRecoveredOutcome(tid, committed);
+  } else if (committed) {
+    HandleCommit(tid);
+  } else {
+    HandleAbortMsg(tid);
+  }
 }
 
 void TransactionManager::ApplyRecoveredOutcome(const TransactionId& tid, bool committed) {
@@ -601,41 +584,18 @@ void TransactionManager::ApplyRecoveredOutcome(const TransactionId& tid, bool co
 }
 
 int TransactionManager::ParticipantKnowledge(const TransactionId& tid) {
-  Txn* txn = Find(tid);
-  if (txn != nullptr) {
-    switch (txn->state) {
-      case TxnState::kCommitted:
-        return 1;
-      case TxnState::kAborted:
-        return -1;
-      default:
-        return 0;  // in doubt too
-    }
-  }
-  auto it = logged_outcomes_.find(tid);
-  if (it == logged_outcomes_.end()) {
+  if (Find(tid) == nullptr && !logged_outcomes_.contains(tid)) {
     return 0;  // never heard of it: no knowledge either way (it might have
                // been read-only here and forgotten — do not presume)
   }
-  switch (it->second) {
-    case TxnOutcome::kCommitted:
+  switch (StateOf(tid)) {
+    case TxnState::kCommitted:
       return 1;
-    case TxnOutcome::kAborted:
+    case TxnState::kAborted:
       return -1;
     default:
-      return 0;
+      return 0;  // in doubt too
   }
-}
-
-bool TransactionManager::QueryCommitted(const TransactionId& tid) {
-  Txn* txn = Find(tid);
-  if (txn != nullptr) {
-    return txn->state == TxnState::kCommitted;
-  }
-  auto it = logged_outcomes_.find(tid);
-  // Presumed abort: a forgotten transaction without a durable commit record
-  // did not commit.
-  return it != logged_outcomes_.end() && it->second == TxnOutcome::kCommitted;
 }
 
 std::vector<recovery::RecoveryManager::ActiveTxn> TransactionManager::ActiveTransactions()

@@ -23,8 +23,10 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/comm/comm_manager.h"
@@ -187,7 +189,9 @@ class TransactionManager : public comm::TransactionTreeListener,
   void HandleSubtxnAbort(const TransactionId& child, const TransactionId& top);
   // Remote query for a transaction's outcome (in-doubt resolution after a
   // coordinator or participant crash). Presumes abort for unknown tids.
-  bool QueryCommitted(const TransactionId& tid);
+  bool QueryCommitted(const TransactionId& tid) const {
+    return StateOf(tid) == TxnState::kCommitted;
+  }
 
   // --- crash recovery (TxnOutcomeSource) ---------------------------------------
   void ObserveTxnRecord(const log::LogRecord& rec) override;
@@ -257,8 +261,29 @@ class TransactionManager : public comm::TransactionTreeListener,
     bool abort_started = false;
   };
 
+  // What a prepare record names: whom a prepared transaction asks for its
+  // verdict — the 2PC parent, the sibling participants (cooperative
+  // termination; the instance set under Paxos Commit) — and the Paxos
+  // acceptor set (empty under 2PC).
+  struct PrepareRecord {
+    NodeId parent_node = kInvalidNode;
+    std::vector<NodeId> siblings;
+    std::vector<NodeId> acceptors;
+  };
+
   Txn* Find(const TransactionId& tid);
   const Txn* Find(const TransactionId& tid) const;
+  // The prepare record of a transaction in doubt here: replayed from the log
+  // for a recovered one (in_doubt_), or the live Txn's for a prepared one.
+  // Empty when `tid` is neither — it was never prepared here, or its verdict
+  // has been applied.
+  std::optional<PrepareRecord> PreparedRecordOf(const TransactionId& tid) const;
+  // Applies a verdict to a transaction in doubt here: through the recovery
+  // path for a recovered one, HandleCommit/HandleAbortMsg for a live one.
+  void ApplyVerdict(const TransactionId& tid, bool committed);
+  // The recovery path: re-log the outcome, redo/undo through the Recovery
+  // Manager, release the recovered participants' locks.
+  void ApplyRecoveredOutcome(const TransactionId& tid, bool committed);
   Txn& GetOrCreateRemote(const TransactionId& tid, NodeId parent_node);
   // The unguarded abort path: sets abort_started and unwinds. Abort() and
   // CascadeAbort() are the guarded entry points.
@@ -300,15 +325,47 @@ class TransactionManager : public comm::TransactionTreeListener,
   void CommitSubtransaction(Txn& txn);
   TransactionManager* Peer(NodeId node) const;
 
-  // Implemented in paxos_commit.cc.
-  // Applies a verdict to a recovered in-doubt transaction: re-log the
-  // outcome, redo/undo through the Recovery Manager, release locks.
-  void ApplyRecoveredOutcome(const TransactionId& tid, bool committed);
+  // The one fan-out of the commit code. Walks `nodes` in order and hands
+  // every live peer to `send(node, peer)`; dead peers are skipped. At this
+  // node's own position it runs `at_self` in place — or skips the position
+  // when no `at_self` is given. With `serialized` (the commit-protocol
+  // fan-outs: prepares, commits, accept bundles, both takeover phases), each
+  // send after the first charges half a datagram time first: the sender
+  // serializes its sends (the paper's half-datagram estimate, Table 5-3
+  // note). The in-place call is not a send and charges nothing. Returns how
+  // many nodes were reached, the in-place call included.
+  template <typename Nodes, typename Send, typename AtSelf = std::nullptr_t>
+  size_t FanOut(const Nodes& nodes, bool serialized, Send&& send, AtSelf&& at_self = nullptr) {
+    sim::Substrate& sub = node_.substrate();
+    size_t sends = 0;
+    size_t in_place = 0;
+    for (NodeId n : nodes) {
+      if (n == node_.id()) {
+        if constexpr (!std::is_null_pointer_v<std::decay_t<AtSelf>>) {
+          at_self();
+          ++in_place;
+        }
+        continue;
+      }
+      TransactionManager* peer = Peer(n);
+      if (peer == nullptr) {
+        continue;
+      }
+      if (serialized && sends > 0) {
+        sub.scheduler().Charge(sub.CostOf(sim::Primitive::kDatagram) / 2);
+      }
+      ++sends;
+      send(n, *peer);
+    }
+    return sends + in_place;
+  }
 
   // Appends the record and returns its LSN; with `force`, also blocks until
   // it is stable (ForceLsn). Queue mode splits the two so locks can release
   // between append and force.
   Lsn AppendTxnRecord(log::RecordType type, const Txn& txn, bool force);
+  // Blocks until `lsn` is stable. Paxos acceptors force through it too, at
+  // the price of a 2PC prepare force.
   void ForceLsn(Lsn lsn);
   // Appends and forces `txn`'s commit or prepare record. Queue mode releases
   // the locks between append and force — tainted for a prepare, whose
@@ -337,11 +394,11 @@ class TransactionManager : public comm::TransactionTreeListener,
   std::map<TransactionId, Txn> txns_;
 
   // Durable knowledge rebuilt from the log by ObserveTxnRecord, plus
-  // outcomes decided since; consulted by QueryCommitted and OutcomeOf.
+  // outcomes decided since; consulted by StateOf and OutcomeOf.
   std::map<TransactionId, recovery::TxnOutcome> logged_outcomes_;
-  std::map<TransactionId, NodeId> logged_parent_node_;
-  std::map<TransactionId, std::vector<NodeId>> logged_siblings_;
-  std::map<TransactionId, std::vector<NodeId>> logged_acceptors_;
+  // Prepare records replayed by ObserveTxnRecord (its only writer), read
+  // for the ids in in_doubt_.
+  std::map<TransactionId, PrepareRecord> logged_prepares_;
   std::set<TransactionId> in_doubt_;
   std::map<std::string, CommitParticipant*> recovered_participants_;
 

@@ -29,6 +29,15 @@
 // vote relay to the leader. The PaxosCommit engine (acceptors, takeover,
 // replay) lives in paxos_commit.cc.
 //
+// Every message bound for a list of nodes leaves through one fan-out,
+// TransactionManager::FanOut: prepares, commits, aborts and subtransaction
+// outcomes here; accept bundles, ballots, learns and verdicts in the engine.
+// It skips dead peers, and only the commit-protocol fan-outs (prepares,
+// commits, accept bundles, both takeover phases) pay the half-datagram delay
+// of serialized sends. Replies to the accept round and the takeover phases
+// are gathered by one quorum wait, PaxosCommit::AwaitQuorum, which counts
+// each acceptor once.
+//
 // Under ArchitectureModel::Improved (Section 5.3), phase two of a
 // distributed write commit leaves the latency-critical path: the coordinator
 // returns to the application as soon as the commit record is stable and the
@@ -294,18 +303,9 @@ bool TransactionManager::SendPrepares(const Txn& txn, const VoteChannelPtr& vote
   const std::vector<NodeId> acceptors = leader ? txn.acceptors : std::vector<NodeId>();
   const TransactionId tid = txn.top;
   const NodeId self = node_.id();
-  bool first_send = true;
-  for (NodeId child : children) {
-    // The sender serializes sends, so each datagram after the first delays
-    // by half a datagram time (the paper's half-datagram estimate, Table 5-3
-    // note).
-    if (!first_send) {
-      sub.scheduler().Charge(sub.CostOf(sim::Primitive::kDatagram) / 2);
-    }
-    first_send = false;
-    TransactionManager* child_tm = Peer(child);
+  FanOut(children, /*serialized=*/true, [&](NodeId child, TransactionManager& child_tm) {
     cm_.SendDatagram(child, leader ? "paxos-prepare" : "2pc-prepare",
-                     [child_tm, tid, self, child, siblings, acceptors, votes, leader] {
+                     [child_tm = &child_tm, tid, self, child, siblings, acceptors, votes, leader] {
                        PaxosVote v = child_tm->HandlePrepare(tid, self, siblings, acceptors,
                                                              leader ? votes : nullptr);
                        if (!leader) {
@@ -314,7 +314,7 @@ bool TransactionManager::SendPrepares(const Txn& txn, const VoteChannelPtr& vote
                          });
                        }
                      });
-  }
+  });
   return true;
 }
 
@@ -424,7 +424,6 @@ bool TransactionManager::BecomePrepared(Txn& txn, Lsn* deferred) {
   }
   txn.state = TxnState::kPrepared;
   logged_outcomes_[tid] = TxnOutcome::kPrepared;
-  logged_parent_node_[tid] = txn.parent_node;
   return true;
 }
 
@@ -513,26 +512,16 @@ void TransactionManager::CommitSubtree(Txn& txn, bool is_root) {
   bool wait_for_acks = !sub.arch().optimized_commit;
 
   auto acks = std::make_shared<sim::Channel<bool>>(sched);
-  int expected = 0;
-  bool first_send = true;
-  for (NodeId child : txn.update_children) {
-    TransactionManager* child_tm = Peer(child);
-    if (child_tm == nullptr) {
-      continue;  // crashed child resolves via in-doubt query after recovery
-    }
-    if (!first_send) {
-      sched.Charge(sub.CostOf(sim::Primitive::kDatagram) / 2);
-    }
-    first_send = false;
-    ++expected;
-    TransactionId tid = txn.tid;
-    NodeId self = node_.id();
-    comm::CommManager* child_cm = &child_tm->cm_;
-    cm_.SendDatagram(child, "2pc-commit", [child_tm, child_cm, tid, self, acks] {
-      child_tm->HandleCommit(tid);
-      child_cm->SendDatagram(self, "2pc-ack", [acks] { acks->Push(true); });
-    });
-  }
+  const TransactionId tid = txn.tid;
+  const NodeId self = node_.id();
+  // A crashed child resolves via the in-doubt query after its recovery.
+  const size_t expected = FanOut(
+      txn.update_children, /*serialized=*/true, [&](NodeId child, TransactionManager& child_tm) {
+        cm_.SendDatagram(child, "2pc-commit", [child_tm = &child_tm, tid, self, acks] {
+          child_tm->HandleCommit(tid);
+          child_tm->cm_.SendDatagram(self, "2pc-ack", [acks] { acks->Push(true); });
+        });
+      });
 
   for (CommitParticipant* s : txn.servers) {
     sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // TM -> server: commit
@@ -549,7 +538,7 @@ void TransactionManager::CommitSubtree(Txn& txn, bool is_root) {
       // already stands, so a crash here must still commit everywhere.
       FAULT_POINT(sub, "2pc.commit.before_acks");
     }
-    for (int i = 0; i < expected; ++i) {
+    for (size_t i = 0; i < expected; ++i) {
       bool b = false;
       if (!acks->PopWithTimeout(vote_timeout_, &b)) {
         break;  // a child will resolve via in-doubt query; commit stands
@@ -608,15 +597,12 @@ void TransactionManager::AbortSubtree(Txn& txn, bool notify_children) {
     }
   }
   if (notify_children) {
-    const auto& info = cm_.InfoFor(txn.top);
-    for (NodeId child : info.children) {
-      TransactionManager* child_tm = Peer(child);
-      if (child_tm == nullptr) {
-        continue;
-      }
-      TransactionId tid = txn.top;
-      cm_.SendDatagram(child, "2pc-abort", [child_tm, tid] { child_tm->HandleAbortMsg(tid); });
-    }
+    const TransactionId tid = txn.top;
+    FanOut(cm_.InfoFor(tid).children, /*serialized=*/false,
+           [&](NodeId child, TransactionManager& child_tm) {
+             cm_.SendDatagram(child, "2pc-abort",
+                              [child_tm = &child_tm, tid] { child_tm->HandleAbortMsg(tid); });
+           });
   }
   // Undo local effects (backward chain through the Recovery Manager), then
   // release locks.
@@ -683,19 +669,12 @@ void TransactionManager::CommitSubtransaction(Txn& txn) {
 
   // Remote participants of the top-level transaction inherit the
   // subtransaction's locks and undo records too.
-  const auto& info = cm_.InfoFor(txn.top);
-  for (NodeId child : info.children) {
-    TransactionManager* child_tm = Peer(child);
-    if (child_tm == nullptr) {
-      continue;
-    }
-    TransactionId child_tid = txn.tid;
-    TransactionId parent_tid = txn.parent;
-    TransactionId top = txn.top;
-    cm_.SendDatagram(child, "subtxn-commit", [child_tm, child_tid, parent_tid, top] {
-      child_tm->HandleSubtxnCommit(child_tid, parent_tid, top);
-    });
-  }
+  FanOut(cm_.InfoFor(txn.top).children, /*serialized=*/false,
+         [&](NodeId child, TransactionManager& child_tm) {
+           cm_.SendDatagram(child, "subtxn-commit",
+                            [child_tm = &child_tm, child = txn.tid, parent = txn.parent,
+                             top = txn.top] { child_tm->HandleSubtxnCommit(child, parent, top); });
+         });
 
   parent->live_subtxns.erase(txn.tid);
   txns_.erase(txn.tid);
@@ -710,14 +689,12 @@ void TransactionManager::HandleSubtxnCommit(const TransactionId& child,
     for (CommitParticipant* s : txn->servers) {
       s->OnSubtxnCommit(child, parent);
     }
-    for (NodeId grandchild : cm_.InfoFor(top).children) {
-      TransactionManager* gtm = Peer(grandchild);
-      if (gtm != nullptr) {
-        cm_.SendDatagram(grandchild, "subtxn-commit", [gtm, child, parent, top] {
-          gtm->HandleSubtxnCommit(child, parent, top);
-        });
-      }
-    }
+    FanOut(cm_.InfoFor(top).children, /*serialized=*/false,
+           [&](NodeId grandchild, TransactionManager& gtm) {
+             cm_.SendDatagram(grandchild, "subtxn-commit", [gtm = &gtm, child, parent, top] {
+               gtm->HandleSubtxnCommit(child, parent, top);
+             });
+           });
   }
 }
 
@@ -729,14 +706,11 @@ void TransactionManager::HandleSubtxnAbort(const TransactionId& child,
     for (CommitParticipant* s : txn->servers) {
       s->OnAbort(child);
     }
-    for (NodeId grandchild : cm_.InfoFor(top).children) {
-      TransactionManager* gtm = Peer(grandchild);
-      if (gtm != nullptr) {
-        cm_.SendDatagram(grandchild, "subtxn-abort", [gtm, child, top] {
-          gtm->HandleSubtxnAbort(child, top);
-        });
-      }
-    }
+    FanOut(cm_.InfoFor(top).children, /*serialized=*/false,
+           [&](NodeId grandchild, TransactionManager& gtm) {
+             cm_.SendDatagram(grandchild, "subtxn-abort",
+                              [gtm = &gtm, child, top] { gtm->HandleSubtxnAbort(child, top); });
+           });
   }
 }
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/servers/array_server.h"
 #include "src/servers/btree_server.h"
 #include "src/tabs/world.h"
@@ -12,6 +14,14 @@ namespace {
 
 using servers::ArrayServer;
 using servers::BTreeServer;
+
+// `prefix` followed by `i`. Built with append: GCC 12 reports a false
+// -Wrestrict for "literal" + std::to_string(...).
+std::string Numbered(const char* prefix, int i) {
+  std::string s(prefix);
+  s.append(std::to_string(i));
+  return s;
+}
 
 class MediaRecoveryTest : public ::testing::Test {
  protected:
@@ -121,14 +131,14 @@ TEST_F(MediaRecoveryTest, BTreeSurvivesMediaFailureViaArchive) {
   world_.RunApp(1, [&](Application& app) {
     app.Transaction([&](const server::Tx& tx) {
       for (int i = 0; i < 50; ++i) {
-        bt->Insert(tx, "key" + std::to_string(i), "v" + std::to_string(i));
+        bt->Insert(tx, Numbered("key", i), Numbered("v", i));
       }
       return Status::kOk;
     });
     archive = world_.DumpArchive(1);
     app.Transaction([&](const server::Tx& tx) {
       for (int i = 50; i < 80; ++i) {
-        bt->Insert(tx, "key" + std::to_string(i), "v" + std::to_string(i));
+        bt->Insert(tx, Numbered("key", i), Numbered("v", i));
       }
       return Status::kOk;
     });
@@ -140,8 +150,7 @@ TEST_F(MediaRecoveryTest, BTreeSurvivesMediaFailureViaArchive) {
     EXPECT_TRUE(bt->CheckInvariants());
     app.Transaction([&](const server::Tx& tx) {
       for (int i = 0; i < 80; ++i) {
-        EXPECT_EQ(bt->Lookup(tx, "key" + std::to_string(i)).value(),
-                  "v" + std::to_string(i));
+        EXPECT_EQ(bt->Lookup(tx, Numbered("key", i)).value(), Numbered("v", i));
       }
       return Status::kOk;
     });

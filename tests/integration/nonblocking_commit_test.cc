@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "src/servers/array_server.h"
@@ -179,6 +180,79 @@ TEST(NonBlockingCommitTest, PaxosResolvesAllInDoubtWithoutCoordinator) {
     });
     EXPECT_EQ(s, Status::kOk);
   });
+}
+
+// The dead-coordinator sweep for a participant whose doubt comes from its
+// log, not from a live prepared transaction: node 2 crashes and recovers
+// without resolving, so only its replayed prepare record names the
+// coordinator and the acceptors. The coordinator's crash must still drive
+// it to the verdict through the acceptors.
+TEST(NonBlockingCommitTest, DeadCoordinatorSweepResolvesRecoveredParticipant) {
+  World world(3, PaxosOptions());
+  auto* a1 = world.AddServerOf<ArrayServer>(1, "a1", 4u);
+  auto* a2 = world.AddServerOf<ArrayServer>(2, "a2", 4u);
+  auto* a3 = world.AddServerOf<ArrayServer>(3, "a3", 4u);
+  CommitWithVerdictsLost(world, a1, a2, a3);
+
+  world.SpawnApp(3, "crashes", [&](Application&) {
+    world.CrashNode(2);
+    world.RecoverNode(2, /*resolve_in_doubt=*/false);
+    ASSERT_EQ(world.tm(2).InDoubt().size(), 1u);
+    world.CrashNode(1);
+  });
+  EXPECT_EQ(world.Drain(), 0);
+  EXPECT_TRUE(world.tm(2).InDoubt().empty());
+
+  a2 = world.Server<ArrayServer>(2, "a2");
+  world.RunApp(2, [&](Application& app) {
+    Status s = app.Transaction([&](const server::Tx& tx) {
+      EXPECT_EQ(a2->GetCell(tx, 0).value(), 2);  // the commit took effect
+      return a2->SetCell(tx, 0, 20);             // and its lock is gone
+    });
+    EXPECT_EQ(s, Status::kOk);
+  });
+}
+
+// A takeover quorum is F+1 DISTINCT acceptors. Node 5 is in doubt with only
+// acceptor 2 reachable, and acceptor 2 never saw the ballot-0 bundle. With
+// datagram duplication on, acceptor 2's promise or accept-ack can arrive
+// twice; counting replies instead of acceptors would then pass one acceptor
+// off as a quorum and decide Aborted for a transaction the coordinator
+// committed at acceptors 3 and 4.
+TEST(NonBlockingCommitTest, DuplicatedRepliesFromOneAcceptorAreNoQuorum) {
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    World world(5, PaxosOptions());
+    auto* a1 = world.AddServerOf<ArrayServer>(1, "a1", 4u);
+    auto* a5 = world.AddServerOf<ArrayServer>(5, "a5", 4u);
+    // Node 1's first transaction gets acceptors {2, 3, 4} (the rotation
+    // starts at counter % 5). Acceptor 2 hears nothing of ballot 0, and
+    // participant 5 never hears the verdict.
+    world.network().SetDatagramLossTagged([](NodeId, NodeId to, const std::string& what) {
+      return (to == 2 && (what == "paxos-accept-bundle" || what == "paxos-learn")) ||
+             (to == 5 && what == "2pc-commit");
+    });
+    Status outcome = Status::kInternal;
+    world.RunApp(1, [&](Application& app) {
+      outcome = app.Transaction([&](const server::Tx& tx) {
+        a1->SetCell(tx, 0, 1);
+        return a5->SetCell(tx, 0, 5);
+      });
+    });
+    ASSERT_EQ(outcome, Status::kOk);
+    world.network().SetDatagramLossTagged({});
+    auto in_doubt = world.tm(5).InDoubt();
+    ASSERT_EQ(in_doubt.size(), 1u);
+
+    world.network().SetPartitioned(5, 3, true);
+    world.network().SetDatagramFaults({seed, 0.5, 0, 0});
+    Status resolved = Status::kInternal;
+    world.RunApp(5, [&](Application&) {
+      world.CrashNode(4);
+      resolved = world.tm(5).ResolveInDoubt(in_doubt[0]);
+    });
+    // Only acceptor 2 is reachable: still in doubt, never aborted.
+    EXPECT_NE(resolved, Status::kAborted) << "seed " << seed;
+  }
 }
 
 // --- the vote_timeout_us interaction (flip point) -----------------------------

@@ -62,8 +62,8 @@ TEST_P(ReplicationFuzzTest, QuorumIntersectionNeverServesStaleData) {
     });
     world.RunApp(4, [&](Application& app) {
       auto dir = Client(world);
-      std::string key = "k" + std::to_string(rng() % 6);
-      std::string value = "v" + std::to_string(round);
+      std::string key = std::string("k").append(std::to_string(rng() % 6));
+      std::string value = std::string("v").append(std::to_string(round));
       switch (rng() % 3) {
         case 0: {
           Status s = app.Transaction(
