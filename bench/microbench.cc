@@ -1,8 +1,8 @@
 // Real-CPU micro-benchmarks (google-benchmark) of the substrate's hot
-// paths: log append/force, lock acquire/release, scheduler task turnaround,
-// recoverable-segment access, and B-tree operations. These measure the
-// implementation itself (host nanoseconds), not the simulated Perq — the
-// Table 5-x binaries handle the paper's virtual-time results.
+// paths: log append/force, lock acquire/release, scheduler task turnaround
+// and task switch, recoverable-segment access, and B-tree operations. These
+// measure the implementation itself (host nanoseconds), not the simulated
+// Perq — the Table 5-x binaries handle the paper's virtual-time results.
 
 #include <benchmark/benchmark.h>
 
@@ -78,6 +78,38 @@ void BM_SchedulerTaskTurnaround(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SchedulerTaskTurnaround);
+
+// Two tasks handing control to each other through Wait/NotifyOne: the cost
+// of one task switch on its own. One item = one switch.
+void BM_SchedulerPingPong(benchmark::State& state) {
+  sim::Scheduler sched;
+  sim::WaitQueue ping_q;
+  sim::WaitQueue pong_q;
+  bool done = false;
+  // Spawned first, so it is waiting before the first ping.
+  sched.Spawn("pong", 1, 0, [&] {
+    for (;;) {
+      sched.Wait(pong_q);
+      if (done) {
+        return;
+      }
+      sched.NotifyOne(ping_q);
+    }
+  });
+  sched.Spawn("ping", 1, 0, [&] {
+    for (auto _ : state) {
+      sched.NotifyOne(pong_q);
+      sched.Wait(ping_q);
+    }
+    done = true;
+    sched.NotifyOne(pong_q);
+  });
+  if (sched.Run() != 0) {
+    state.SkipWithError("ping-pong tasks left blocked");
+  }
+  state.SetItemsProcessed(2 * state.iterations());
+}
+BENCHMARK(BM_SchedulerPingPong);
 
 void BM_SegmentReadResident(benchmark::State& state) {
   sim::Scheduler sched;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
 #include <cstring>
 
 #include "src/sim/fault_injector.h"
@@ -23,31 +24,46 @@ std::uint32_t ReadU32(std::span<const std::uint8_t> s) {
 
 std::span<const std::uint8_t> StableLogDevice::Read(std::uint64_t offset,
                                                     std::uint64_t length) const {
-  if (offset < truncated_prefix_ || offset + length > data_.size()) {
+  if (offset < truncated_prefix_ || offset + length > size_) {
     return {};
   }
-  return {data_.data() + offset, length};
+  return {data_.get() + offset, length};
+}
+
+void StableLogDevice::Resize(std::uint64_t n) {
+  if (n > capacity_) {
+    std::uint64_t capacity = std::max({n, 2 * capacity_, kSectorBytes});
+    void* grown = std::realloc(data_.release(), capacity);
+    if (grown == nullptr) {
+      std::fputs("tabs::log::StableLogDevice: out of memory\n", stderr);
+      std::abort();
+    }
+    data_.reset(static_cast<std::uint8_t*>(grown));
+    capacity_ = capacity;
+  }
+  size_ = n;
 }
 
 std::uint32_t StableLogDevice::ComputeSum(std::uint64_t sector) const {
   // FNV-1a over the sector's valid byte range (the final sector may be
   // partial; its checksum covers only the bytes written so far).
   std::uint64_t begin = sector * kSectorBytes;
-  std::uint64_t end = std::min(begin + kSectorBytes, static_cast<std::uint64_t>(data_.size()));
+  std::uint64_t end = std::min(begin + kSectorBytes, size_);
+  const std::uint8_t* bytes = data_.get();
   std::uint32_t h = 2166136261u;
   for (std::uint64_t i = begin; i < end; ++i) {
-    h ^= data_[i];
+    h ^= bytes[i];
     h *= 16777619u;
   }
   return h;
 }
 
 void StableLogDevice::ResyncSums(std::uint64_t begin, std::uint64_t end) {
-  if (data_.empty()) {
+  if (size_ == 0) {
     sums_.clear();
     return;
   }
-  sums_.resize((data_.size() + kSectorBytes - 1) / kSectorBytes);
+  sums_.resize((size_ + kSectorBytes - 1) / kSectorBytes);
   std::uint64_t first = begin / kSectorBytes;
   std::uint64_t last = end == 0 ? 0 : (end - 1) / kSectorBytes;
   for (std::uint64_t s = first; s <= last && s < sums_.size(); ++s) {
@@ -56,14 +72,15 @@ void StableLogDevice::ResyncSums(std::uint64_t begin, std::uint64_t end) {
 }
 
 void StableLogDevice::Append(const Bytes& bytes) {
-  std::uint64_t begin = data_.size();
-  data_.insert(data_.end(), bytes.begin(), bytes.end());
-  ResyncSums(begin, data_.size());
+  std::uint64_t begin = size_;
+  Resize(begin + bytes.size());
+  std::copy(bytes.begin(), bytes.end(), data_.get() + begin);
+  ResyncSums(begin, size_);
 }
 
 void StableLogDevice::AppendTorn(const Bytes& bytes, int durable_sectors) {
   assert(durable_sectors >= 0);
-  std::uint64_t begin = data_.size();
+  std::uint64_t begin = size_;
   std::uint64_t first_sector = begin / kSectorBytes;
   // Only the bytes landing in the first `durable_sectors` sectors touched by
   // this write survive; everything past that sector boundary is lost.
@@ -71,16 +88,18 @@ void StableLogDevice::AppendTorn(const Bytes& bytes, int durable_sectors) {
                              kSectorBytes;
   std::uint64_t keep = keep_limit <= begin ? 0 : std::min<std::uint64_t>(bytes.size(),
                                                                          keep_limit - begin);
-  data_.insert(data_.end(), bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(keep));
-  ResyncSums(begin, data_.size());
+  Resize(begin + keep);
+  std::copy(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(keep), data_.get() + begin);
+  ResyncSums(begin, size_);
 }
 
 void StableLogDevice::CorruptSector(std::uint64_t sector) {
   std::uint64_t begin = sector * kSectorBytes;
-  std::uint64_t end = std::min(begin + kSectorBytes, static_cast<std::uint64_t>(data_.size()));
-  assert(begin < data_.size() && "corrupting a sector that does not exist");
+  std::uint64_t end = std::min(begin + kSectorBytes, size_);
+  assert(begin < size_ && "corrupting a sector that does not exist");
+  std::uint8_t* bytes = data_.get();
   for (std::uint64_t i = begin; i < end; ++i) {
-    data_[i] = static_cast<std::uint8_t>((data_[i] ^ 0xA5u) + 1);
+    bytes[i] = static_cast<std::uint8_t>((bytes[i] ^ 0xA5u) + 1);
   }
   // Deliberately no ResyncSums: the stored checksum is now stale, which is
   // exactly how recovery detects the damage.
@@ -98,29 +117,28 @@ std::uint64_t StableLogDevice::FirstInvalidByte() const {
       return s * kSectorBytes;
     }
   }
-  return data_.size();
+  return size_;
 }
 
 void StableLogDevice::TruncateBefore(std::uint64_t offset) {
   if (offset <= truncated_prefix_) {
     return;
   }
-  assert(offset <= data_.size());
-  std::fill(data_.begin() + static_cast<std::ptrdiff_t>(truncated_prefix_),
-            data_.begin() + static_cast<std::ptrdiff_t>(offset), std::uint8_t{0});
+  assert(offset <= size_);
+  std::fill(data_.get() + truncated_prefix_, data_.get() + offset, std::uint8_t{0});
   std::uint64_t old_prefix = truncated_prefix_;
   truncated_prefix_ = offset;
   ResyncSums(old_prefix, offset);
 }
 
 void StableLogDevice::TruncateAfter(std::uint64_t offset) {
-  assert(offset >= truncated_prefix_ && offset <= data_.size());
-  data_.resize(offset);
-  sums_.resize(data_.empty() ? 0 : (data_.size() + kSectorBytes - 1) / kSectorBytes);
-  if (!data_.empty()) {
+  assert(offset >= truncated_prefix_ && offset <= size_);
+  Resize(offset);
+  sums_.resize(size_ == 0 ? 0 : (size_ + kSectorBytes - 1) / kSectorBytes);
+  if (size_ != 0) {
     // The cut may leave a partial final sector: its checksum now covers a
     // shorter valid range.
-    ResyncSums(data_.size() - 1, data_.size());
+    ResyncSums(size_ - 1, size_);
   }
 }
 

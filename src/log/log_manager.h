@@ -15,6 +15,8 @@
 #define TABS_LOG_LOG_MANAGER_H_
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -39,7 +41,7 @@ class StableLogDevice {
  public:
   static constexpr std::uint64_t kSectorBytes = 512;
 
-  std::uint64_t size() const { return data_.size(); }
+  std::uint64_t size() const { return size_; }
   std::uint64_t truncated_prefix() const { return truncated_prefix_; }
 
   void Append(const Bytes& bytes);
@@ -75,8 +77,21 @@ class StableLogDevice {
   std::uint32_t ComputeSum(std::uint64_t sector) const;
   // Recomputes checksums for every sector overlapping [begin, end).
   void ResyncSums(std::uint64_t begin, std::uint64_t end);
+  // Sets size() to `n`, growing the buffer geometrically; new bytes are
+  // uninitialised.
+  void Resize(std::uint64_t n);
 
-  Bytes data_;  // offsets below truncated_prefix_ are zeroed and unreadable
+  struct FreeDeleter {
+    void operator()(std::uint8_t* p) const { std::free(p); }
+  };
+  // The device's bytes, grown with realloc rather than held in a vector:
+  // once the buffer is past the allocator's mmap threshold, glibc moves it
+  // with mremap instead of copying, so the old and the new block are never
+  // resident together (a vector's doubling copy set the process's peak
+  // memory). Offsets below truncated_prefix_ are zeroed and unreadable.
+  std::unique_ptr<std::uint8_t, FreeDeleter> data_;
+  std::uint64_t size_ = 0;
+  std::uint64_t capacity_ = 0;
   std::uint64_t truncated_prefix_ = 0;
   std::vector<std::uint32_t> sums_;  // one per sector, header-space checksums
 };

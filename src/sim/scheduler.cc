@@ -1,7 +1,27 @@
 #include "src/sim/scheduler.h"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <exception>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define TABS_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define TABS_ASAN_FIBERS 1
+#endif
+#endif
+#ifdef TABS_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 namespace tabs::sim {
 
@@ -10,7 +30,59 @@ namespace {
 // RPC traffic never allocates; bounded so a one-off fan-out burst does not
 // pin memory forever.
 constexpr std::size_t kMaxPooledTasks = 256;
+
+// Address space reserved per task stack, guard page included. Reserved with
+// MAP_NORESERVE, so a context commits only the pages its deepest call chain
+// touched.
+constexpr std::size_t kStackBytes = std::size_t{1} << 20;
+
+[[noreturn]] void Die(const char* what) {
+  std::perror(what);
+  std::abort();
+}
+
+// getcontext returns twice; isolating it keeps the caller's locals out of
+// the clobber analysis.
+[[gnu::noinline]] void CaptureContext(ucontext_t* uc) {
+  if (getcontext(uc) != 0) {
+    Die("tabs::sim::Scheduler: getcontext");
+  }
+}
+
+#ifdef TABS_ASAN_FIBERS
+// The context that switched to the one now running. Set just before each
+// switch and read just after it lands, on the same thread.
+thread_local Context* switching_from = nullptr;
+#endif
 }  // namespace
+
+// `uc` holds the registers while the context is switched out. `stack` is the
+// whole mapping, lowest page PROT_NONE; Run()'s context has none (it runs on
+// the thread's own stack). The last three fields exist for ASan, which must
+// be told which stack a switch lands on.
+struct Context {
+  ucontext_t uc;
+  char* stack = nullptr;
+  Task* task = nullptr;  // the task assigned to this context, if any
+  Scheduler* scheduler = nullptr;
+  const void* stack_bottom = nullptr;
+  std::size_t stack_size = 0;
+  void* fake_stack = nullptr;
+
+  Context() = default;
+  Context(const Context&) = delete;
+  Context& operator=(const Context&) = delete;
+  ~Context() {
+    if (stack != nullptr) {
+#ifdef TABS_ASAN_FIBERS
+      // Frames abandoned on this stack leave poisoned shadow behind; clear
+      // it so a later mapping at the same address starts clean.
+      ASAN_UNPOISON_MEMORY_REGION(stack, kStackBytes);
+#endif
+      munmap(stack, kStackBytes);
+    }
+  }
+};
 
 WaitQueue::~WaitQueue() {
   // Every task in waiters_ is blocked with waiting_on == this (wake and
@@ -24,49 +96,54 @@ WaitQueue::~WaitQueue() {
   }
 }
 
+Scheduler::Scheduler() : run_context_(std::make_unique<Context>()) {}
+
 Scheduler::~Scheduler() { Shutdown(); }
 
 void Scheduler::Shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutting_down_ = true;
-    for (auto& t : tasks_) {
-      t->killed = true;
-      if (t->state == Task::State::kBlocked) {
-        if (t->waiting_on != nullptr) {
-          auto& w = t->waiting_on->waiters_;
-          w.erase(std::remove(w.begin(), w.end(), t.get()), w.end());
-          t->waiting_on = nullptr;
-        }
-        CancelTimerLocked(t.get());
-        t->state = Task::State::kReady;
-        PushReadyLocked(t.get());
-      }
-    }
-  }
+  assert(current_ == nullptr && "Shutdown() must not be called from inside a task");
+  KillWhere([](const Task&) { return true; });
   // Give every remaining task one turn so its stack unwinds via TaskKilled.
   Run();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& w : workers_) {
-      w->exit = true;
-      w->cv.notify_one();
-    }
-  }
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) {
-      w->thread.join();
-    }
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  workers_.clear();
-  free_workers_.clear();
+  free_contexts_.clear();
+  contexts_.clear();
   task_pool_.clear();
+}
+
+Context* Scheduler::AcquireContext() {
+  if (!free_contexts_.empty()) {
+    Context* c = free_contexts_.back();
+    free_contexts_.pop_back();
+    return c;
+  }
+  auto owned = std::make_unique<Context>();
+  Context* c = owned.get();
+  void* mem = mmap(nullptr, kStackBytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+  if (mem == MAP_FAILED) {
+    Die("tabs::sim::Scheduler: mmap of a task stack");
+  }
+  c->stack = static_cast<char*>(mem);
+  const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  if (mprotect(c->stack, page, PROT_NONE) != 0) {
+    Die("tabs::sim::Scheduler: guard page for a task stack");
+  }
+  c->scheduler = this;
+  c->stack_bottom = c->stack + page;
+  c->stack_size = kStackBytes - page;
+  CaptureContext(&c->uc);
+  c->uc.uc_stack.ss_sp = c->stack + page;
+  c->uc.uc_stack.ss_size = kStackBytes - page;
+  c->uc.uc_link = nullptr;  // ContextMain never returns
+  auto bits = reinterpret_cast<std::uintptr_t>(c);
+  makecontext(&c->uc, reinterpret_cast<void (*)()>(&Scheduler::ContextMain), 2,
+              static_cast<unsigned>(bits >> 32), static_cast<unsigned>(bits));
+  contexts_.push_back(std::move(owned));
+  return c;
 }
 
 TaskId Scheduler::Spawn(std::string name, NodeId node, SimTime start_time,
                         std::function<void()> fn) {
-  std::lock_guard<std::mutex> lock(mu_);
   std::unique_ptr<Task> task;
   if (!task_pool_.empty()) {
     task = std::move(task_pool_.back());
@@ -86,20 +163,12 @@ TaskId Scheduler::Spawn(std::string name, NodeId node, SimTime start_time,
   task->fn = std::move(fn);
   task->scheduler = this;
   Task* raw = task.get();
-  Worker* w;
-  if (!free_workers_.empty()) {
-    w = free_workers_.back();
-    free_workers_.pop_back();
-  } else {
-    workers_.push_back(std::make_unique<Worker>());
-    w = workers_.back().get();
-    w->thread = std::thread(&Scheduler::WorkerMain, this, w);
-  }
-  w->task = raw;
-  raw->worker = w;
+  Context* c = AcquireContext();
+  c->task = raw;
+  raw->context = c;
   raw->index = tasks_.size();
   tasks_.push_back(std::move(task));
-  PushReadyLocked(raw);
+  PushReady(raw);
   if (observer_ != nullptr) {
     PushClockEvent({ClockEvent::Kind::kSpawn, raw->id,
                     current_ != nullptr ? current_->id : kInvalidTask,
@@ -108,48 +177,62 @@ TaskId Scheduler::Spawn(std::string name, NodeId node, SimTime start_time,
   return raw->id;
 }
 
-void Scheduler::WorkerMain(Scheduler* sched, Worker* w) {
-  std::unique_lock<std::mutex> lock(sched->mu_);
+void Scheduler::SwitchTo(Context* from, Task* next) {
+  Context* to = next != nullptr ? next->context : run_context_.get();
+  if (to == from) {
+    return;
+  }
+#ifdef TABS_ASAN_FIBERS
+  switching_from = from;
+  __sanitizer_start_switch_fiber(&from->fake_stack, to->stack_bottom, to->stack_size);
+#endif
+  swapcontext(&from->uc, &to->uc);
+#ifdef TABS_ASAN_FIBERS
+  // Resumed: record the bounds of the stack we came from (how Run()'s
+  // thread stack becomes known for the switches back into it).
+  __sanitizer_finish_switch_fiber(from->fake_stack, &switching_from->stack_bottom,
+                                  &switching_from->stack_size);
+#endif
+}
+
+void Scheduler::ContextMain(unsigned hi, unsigned lo) {
+  auto* c = reinterpret_cast<Context*>((static_cast<std::uintptr_t>(hi) << 32) | lo);
+  Scheduler* sched = c->scheduler;
+#ifdef TABS_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(nullptr, &switching_from->stack_bottom,
+                                  &switching_from->stack_size);
+#endif
+  // One iteration per task: the context parks at the bottom of the loop
+  // on the free list and resumes here when its next task is first selected.
   for (;;) {
-    w->cv.wait(lock, [&] {
-      return w->exit || (w->task != nullptr && sched->current_ == w->task);
-    });
-    if (w->exit) {
-      return;
-    }
-    Task* t = w->task;
+    Task* t = c->task;
     if (!t->killed) {
-      lock.unlock();
       try {
         t->fn();
       } catch (const TaskKilled&) {
         // Node crash or shutdown: the task dies with its stack unwound.
       }
-      lock.lock();
     }
     if (sched->observer_ != nullptr) {
       sched->PushClockEvent({ClockEvent::Kind::kDone, t->id, kInvalidTask, 0, 0});
     }
     t->state = Task::State::kDone;
     t->fn = nullptr;
-    t->worker = nullptr;
-    w->task = nullptr;
+    t->context = nullptr;
+    c->task = nullptr;
     sched->done_.push_back(t);
-    sched->free_workers_.push_back(w);
+    sched->free_contexts_.push_back(c);
     sched->current_ = nullptr;
-    sched->ScheduleNextLocked();
+    sched->SwitchTo(c, sched->ScheduleNext());
   }
 }
 
 int Scheduler::Run() {
-  std::unique_lock<std::mutex> lock(mu_);
   assert(current_ == nullptr && "Run() must not be called from inside a task");
-  idle_ = false;
-  // Hand off to the first task; from here tasks chain directly worker to
-  // worker and this thread sleeps until the system goes quiescent.
-  ScheduleNextLocked();
-  sched_cv_.wait(lock, [&] { return idle_; });
-  ReapDoneLocked();
+  // Hand off to the first task; from here tasks chain directly context to
+  // context and control returns here only when the system goes quiescent.
+  SwitchTo(run_context_.get(), ScheduleNext());
+  ReapDone();
   // Quiescent: settle the observer's view so post-run reads need no drain.
   FlushClockEvents();
   int blocked = 0;
@@ -179,13 +262,13 @@ void Scheduler::FlushClockEvents() {
   observer_->OnClockEvents(clock_events_scratch_.data(), clock_events_scratch_.size());
 }
 
-void Scheduler::PushReadyLocked(Task* t) {
+void Scheduler::PushReady(Task* t) {
   assert(t->state == Task::State::kReady);
   ready_.push_back(ReadyEntry{t->time, t->id, t});
   std::push_heap(ready_.begin(), ready_.end(), ReadyAfter{});
 }
 
-Task* Scheduler::PeekReadyLocked() {
+Task* Scheduler::PeekReady() {
   while (!ready_.empty()) {
     const ReadyEntry& e = ready_.front();
     // An entry is pushed when its task becomes ready and popped when the
@@ -202,10 +285,10 @@ Task* Scheduler::PeekReadyLocked() {
   return nullptr;
 }
 
-void Scheduler::ScheduleNextLocked() {
+Task* Scheduler::ScheduleNext() {
   assert(current_ == nullptr);
-  ReapDoneLocked();
-  Task* best = PeekReadyLocked();
+  ReapDone();
+  Task* best = PeekReady();
 
   // A pending lock-wait timeout fires if it precedes every runnable task.
   while (!timers_.empty()) {
@@ -234,15 +317,12 @@ void Scheduler::ScheduleNextLocked() {
         PushClockEvent({ClockEvent::Kind::kTimeout, victim->id, kInvalidTask, from, deadline});
       }
     }
-    PushReadyLocked(victim);
-    best = PeekReadyLocked();
+    PushReady(victim);
+    best = PeekReady();
   }
 
   if (best == nullptr) {
-    // Quiescent: either all done or the rest are blocked forever.
-    idle_ = true;
-    sched_cv_.notify_one();
-    return;
+    return nullptr;  // quiescent: either all done or the rest blocked forever
   }
   assert(ready_.front().task == best);
   std::pop_heap(ready_.begin(), ready_.end(), ReadyAfter{});
@@ -250,10 +330,10 @@ void Scheduler::ScheduleNextLocked() {
   best->state = Task::State::kRunning;
   current_ = best;
   ++steps_;
-  best->worker->cv.notify_one();
+  return best;
 }
 
-void Scheduler::ReapDoneLocked() {
+void Scheduler::ReapDone() {
   if (done_.empty()) {
     return;
   }
@@ -309,13 +389,22 @@ void Scheduler::AdvanceTo(SimTime t) {
   }
 }
 
-void Scheduler::ParkCurrent(std::unique_lock<std::mutex>& lock, Task* t) {
+void Scheduler::ParkCurrent(Task* t) {
+  // Every context shares this thread's C++ exception state. A task parking
+  // mid-unwind (a destructor that waits) would leave its in-flight exception
+  // for the next task's throw/catch to trample; fail stop instead.
+  if (std::uncaught_exceptions() != 0) {
+    std::fprintf(stderr,
+                 "tabs::sim::Scheduler: task '%s' (id %llu) blocked while an exception was "
+                 "propagating through it; a destructor must not wait during stack unwinding\n",
+                 t->name.c_str(), static_cast<unsigned long long>(t->id));
+    std::abort();
+  }
   current_ = nullptr;
-  // The parking thread selects and wakes its successor directly; if the
-  // selection picks `t` itself (a Yield with nothing earlier), the wait
-  // predicate is already true and no OS context switch happens at all.
-  ScheduleNextLocked();
-  t->worker->cv.wait(lock, [&] { return current_ == t; });
+  // The parking task selects its successor and switches straight to it; if
+  // the selection picks `t` itself (a Yield with nothing earlier), no switch
+  // happens at all.
+  SwitchTo(t->context, ScheduleNext());
   if (t->killed) {
     throw TaskKilled{};
   }
@@ -327,7 +416,6 @@ bool Scheduler::Wait(WaitQueue& q, SimTime timeout) {
   if (t->killed) {
     throw TaskKilled{};
   }
-  std::unique_lock<std::mutex> lock(mu_);
   t->state = Task::State::kBlocked;
   t->timed_out = false;
   t->waiting_on = &q;
@@ -339,20 +427,20 @@ bool Scheduler::Wait(WaitQueue& q, SimTime timeout) {
     t->timer_seq = ++timer_seq_;
     timers_.insert(TimerKey{t->timer_deadline, t->timer_seq, t});
   }
-  ParkCurrent(lock, t);
+  ParkCurrent(t);
   return !t->timed_out;
 }
 
-void Scheduler::CancelTimerLocked(Task* t) {
+void Scheduler::CancelTimer(Task* t) {
   if (t->timer_armed) {
     timers_.erase(TimerKey{t->timer_deadline, t->timer_seq, nullptr});
     t->timer_armed = false;
   }
 }
 
-void Scheduler::WakeLocked(Task* t, SimTime wake_time) {
+void Scheduler::Wake(Task* t, SimTime wake_time) {
   t->waiting_on = nullptr;
-  CancelTimerLocked(t);  // purge the pending timeout eagerly
+  CancelTimer(t);  // purge the pending timeout eagerly
   t->state = Task::State::kReady;
   if (wake_time > t->time) {
     SimTime from = t->time;
@@ -362,25 +450,23 @@ void Scheduler::WakeLocked(Task* t, SimTime wake_time) {
       PushClockEvent({ClockEvent::Kind::kWake, t->id, current_->id, from, wake_time});
     }
   }
-  PushReadyLocked(t);
+  PushReady(t);
 }
 
 void Scheduler::NotifyOne(WaitQueue& q) {
   assert(current_ != nullptr && "NotifyOne() called outside a task");
-  std::lock_guard<std::mutex> lock(mu_);
   Task* t = q.Front();
   if (t != nullptr) {
     q.waiters_.pop_front();
-    WakeLocked(t, current_->time);
+    Wake(t, current_->time);
   }
 }
 
 void Scheduler::NotifyAll(WaitQueue& q) {
   assert(current_ != nullptr && "NotifyAll() called outside a task");
-  std::lock_guard<std::mutex> lock(mu_);
   while (Task* t = q.Front()) {
     q.waiters_.pop_front();
-    WakeLocked(t, current_->time);
+    Wake(t, current_->time);
   }
 }
 
@@ -390,36 +476,32 @@ void Scheduler::Yield() {
   if (t->killed) {
     throw TaskKilled{};
   }
-  std::unique_lock<std::mutex> lock(mu_);
   t->state = Task::State::kReady;
-  PushReadyLocked(t);
-  ParkCurrent(lock, t);
+  PushReady(t);
+  ParkCurrent(t);
 }
 
 void Scheduler::KillWhere(const std::function<bool(const Task&)>& pred) {
   bool kill_self = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& t : tasks_) {
-      if (t->state == Task::State::kDone || !pred(*t)) {
-        continue;
-      }
-      if (t.get() == current_) {
-        kill_self = true;
-        t->killed = true;
-        continue;
-      }
+  for (auto& t : tasks_) {
+    if (t->state == Task::State::kDone || !pred(*t)) {
+      continue;
+    }
+    if (t.get() == current_) {
+      kill_self = true;
       t->killed = true;
-      if (t->state == Task::State::kBlocked) {
-        if (t->waiting_on != nullptr) {
-          auto& w = t->waiting_on->waiters_;
-          w.erase(std::remove(w.begin(), w.end(), t.get()), w.end());
-          t->waiting_on = nullptr;
-        }
-        CancelTimerLocked(t.get());
-        t->state = Task::State::kReady;  // resumes, sees killed, unwinds
-        PushReadyLocked(t.get());
+      continue;
+    }
+    t->killed = true;
+    if (t->state == Task::State::kBlocked) {
+      if (t->waiting_on != nullptr) {
+        auto& w = t->waiting_on->waiters_;
+        w.erase(std::remove(w.begin(), w.end(), t.get()), w.end());
+        t->waiting_on = nullptr;
       }
+      CancelTimer(t.get());
+      t->state = Task::State::kReady;  // resumes, sees killed, unwinds
+      PushReady(t.get());
     }
   }
   if (kill_self) {
@@ -428,7 +510,6 @@ void Scheduler::KillWhere(const std::function<bool(const Task&)>& pred) {
 }
 
 int Scheduler::blocked_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
   int n = 0;
   for (const auto& t : tasks_) {
     if (t->state == Task::State::kBlocked) {

@@ -13,31 +13,32 @@
 // parallelism across nodes (each task advances its own clock; a task that
 // waits for several replies resumes at the max of their arrival times).
 //
-// Execution substrate: tasks run on a pool of parked OS worker threads with
-// strict hand-off — only one thread is ever unparked, so no data races are
-// possible and no per-platform context-switch assembly is needed. A parking
-// or finishing task selects its successor and wakes it directly (one OS
-// context switch per simulated event, not a bounce through a scheduler
-// thread), and workers are reused across tasks, so spawning a task costs a
-// freelist pop rather than an OS thread creation. Runnable tasks live in a
-// binary min-heap keyed (virtual time, task id); pending Wait() timeouts
-// live in an ordered set that is purged eagerly when a timer is cancelled.
-// Task objects themselves are recycled through a freelist.
+// Execution substrate: tasks are coroutines in the literal sense — each runs
+// on its own user-space context (a `makecontext` entry on an mmap'd stack) and
+// all of them share the caller's one OS thread. A parking or finishing task
+// selects its successor and `swapcontext`s straight into it, or back into
+// Run() when the world goes quiescent, so a simulated event costs a
+// user-space register swap and no kernel scheduling at all. Contexts are
+// pooled and reused across tasks, so spawning a task costs a freelist pop
+// rather than a stack mapping. Each stack reserves 1 MiB (MAP_NORESERVE:
+// only touched pages are committed) above a PROT_NONE guard page, so an
+// overflowing task faults instead of corrupting a neighbouring stack.
+// Runnable tasks live in a binary min-heap keyed (virtual time, task id);
+// pending Wait() timeouts live in an ordered set that is purged eagerly when
+// a timer is cancelled. Task objects themselves are recycled through a
+// freelist.
 
 #ifndef TABS_SIM_SCHEDULER_H_
 #define TABS_SIM_SCHEDULER_H_
 
 #include <cassert>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/common/types.h"
@@ -74,15 +75,11 @@ class WaitQueue {
   std::deque<struct Task*> waiters_;
 };
 
-// A pooled OS thread that executes tasks. Workers outlive the tasks they
-// run: when a task finishes, its worker returns to the scheduler's free list
-// and picks up the next spawned task without an OS thread creation.
-struct Worker {
-  std::thread thread;
-  std::condition_variable cv;
-  struct Task* task = nullptr;  // the task currently assigned to this worker
-  bool exit = false;
-};
+// A pooled user-space execution context (stack + saved registers) that runs
+// tasks. Contexts outlive the tasks they run: when a task finishes, its
+// context returns to the scheduler's free list and picks up the next spawned
+// task. Defined in scheduler.cc; nothing outside the scheduler touches one.
+struct Context;
 
 struct Task {
   enum class State { kReady, kRunning, kBlocked, kDone };
@@ -100,7 +97,7 @@ struct Task {
   std::size_t index = 0;        // position in Scheduler::tasks_ (swap-erase)
   WaitQueue* waiting_on = nullptr;
   std::function<void()> fn;
-  Worker* worker = nullptr;
+  Context* context = nullptr;
   Scheduler* scheduler = nullptr;
 };
 
@@ -133,10 +130,10 @@ struct ClockEvent {
 // otherwise, so the default simulation pays exactly one null-pointer check
 // per clock change — zero virtual calls — and remains bit-identical to the
 // pre-observer scheduler. OnClockEvents receives events in exact occurrence
-// order; it may be invoked with the scheduler lock held (a batch filling up
-// mid-wake) and must not re-enter the scheduler or mutate task clocks. An
-// observer whose queries depend on buffered history calls
-// Scheduler::FlushClockEvents() at its read points to drain first.
+// order; it may be invoked mid-wake (a batch filling up inside NotifyOne) and
+// must not re-enter the scheduler or mutate task clocks. An observer whose
+// queries depend on buffered history calls Scheduler::FlushClockEvents() at
+// its read points to drain first.
 class ClockObserver {
  public:
   virtual ~ClockObserver() = default;
@@ -145,7 +142,7 @@ class ClockObserver {
 
 class Scheduler {
  public:
-  Scheduler() = default;
+  Scheduler();
   ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -196,9 +193,12 @@ class Scheduler {
   // workload — byte-identical runs execute byte-identical step counts.
   std::uint64_t steps() const { return steps_; }
 
-  // Installs (or, with nullptr, removes) the clock observer. Callable only
-  // while no task is being scheduled concurrently with the change — in this
-  // strict hand-off model any point where the caller runs qualifies. Any
+  // Execution contexts (task stacks) created so far. Contexts are reused
+  // across tasks, so this is the peak number of simultaneously live tasks,
+  // not the number ever spawned.
+  std::size_t contexts_created() const { return contexts_.size(); }
+
+  // Installs (or, with nullptr, removes) the clock observer. Any
   // buffered events are flushed to the outgoing observer first, so it sees
   // everything up to the switch.
   void SetClockObserver(ClockObserver* observer) {
@@ -215,8 +215,8 @@ class Scheduler {
   std::uint64_t clock_event_batches() const { return clock_event_batches_; }
   std::uint64_t clock_events_delivered() const { return clock_events_delivered_; }
 
-  // Kills every task and runs until all stacks have unwound, then joins the
-  // worker threads. Idempotent; the destructor calls it. Owners whose tasks
+  // Kills every task and runs until all stacks have unwound, then releases
+  // the task stacks. Idempotent; the destructor calls it. Owners whose tasks
   // reference shorter-lived state (e.g. the tracer, destroyed before the
   // scheduler member in World) call this first so tasks unwind while that
   // state is still alive. Must not be called from inside a task.
@@ -251,26 +251,31 @@ class Scheduler {
     }
   };
 
-  static void WorkerMain(Scheduler* sched, Worker* w);
-  // Parks the current task (state already updated), hands off to the next
-  // runnable task, and waits to be resumed. Must be called with mu_ held via
-  // the unique_lock.
-  void ParkCurrent(std::unique_lock<std::mutex>& lock, Task* t);
-  void WakeLocked(Task* t, SimTime wake_time);
-  void PushReadyLocked(Task* t);
-  void CancelTimerLocked(Task* t);
-  Task* PeekReadyLocked();
-  // The heart of the hand-off: fires due timers, selects the runnable task
-  // with the smallest (time, id), and wakes its worker — or, when nothing is
-  // runnable, signals quiescence to Run(). Called by the parking/finishing
-  // thread itself, so a hand-off costs one OS context switch.
-  void ScheduleNextLocked();
-  void ReapDoneLocked();
+  // Entry point of every context; never returns. makecontext passes int
+  // arguments only, so the Context* arrives as two 32-bit halves.
+  static void ContextMain(unsigned hi, unsigned lo);
+  Context* AcquireContext();
+  // Saves the running context into `from` and resumes `next`'s context, or
+  // Run()'s when `next` is null. Returns when `from` is resumed; a no-op
+  // when `next` already runs on `from`.
+  void SwitchTo(Context* from, Task* next);
+  // Parks the current task (state already updated), switches to the next
+  // runnable task, and returns once `t` is selected again.
+  void ParkCurrent(Task* t);
+  void Wake(Task* t, SimTime wake_time);
+  void PushReady(Task* t);
+  void CancelTimer(Task* t);
+  Task* PeekReady();
+  // The heart of the hand-off: fires due timers, then pops the runnable task
+  // with the smallest (time, id), marks it running and returns it — or
+  // returns null when nothing is runnable (quiescence). Called by the
+  // parking/finishing task itself, which then switches straight to the
+  // result.
+  Task* ScheduleNext();
+  void ReapDone();
 
   // Appends one event to the batch buffer; callers have already checked
   // observer_ != nullptr (the not-tracing fast path is that one branch).
-  // Safe without mu_ where the caller runs unlocked: strict hand-off means
-  // at most one thread mutates scheduler state at a time.
   void PushClockEvent(const ClockEvent& e) {
     clock_events_.push_back(e);
     if (clock_events_.size() >= kClockEventBatch) {
@@ -278,21 +283,18 @@ class Scheduler {
     }
   }
 
-  mutable std::mutex mu_;
-  std::condition_variable sched_cv_;
   std::vector<std::unique_ptr<Task>> tasks_;      // live tasks (swap-erase order)
   std::vector<std::unique_ptr<Task>> task_pool_;  // recycled Task objects
   std::vector<Task*> done_;                       // finished, awaiting reap
   std::vector<ReadyEntry> ready_;                 // min-heap via ReadyAfter
   std::set<TimerKey> timers_;
   std::uint64_t timer_seq_ = 0;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<Worker*> free_workers_;
+  std::vector<std::unique_ptr<Context>> contexts_;  // every task stack
+  std::vector<Context*> free_contexts_;
+  std::unique_ptr<Context> run_context_;  // Run()'s own (thread) stack
   Task* current_ = nullptr;
   TaskId next_id_ = 1;
   std::uint64_t steps_ = 0;
-  bool idle_ = true;
-  bool shutting_down_ = false;
   ClockObserver* observer_ = nullptr;
   static constexpr std::size_t kClockEventBatch = 256;
   std::vector<ClockEvent> clock_events_;          // pending, occurrence order

@@ -278,6 +278,15 @@ class World {
   // instance name always, the logical service name when it is a shard.
   void RegisterBindings(NodeId node_id, const Blueprint& bp, name::NameServer& ns);
 
+  // Declared first, so destroyed last: runs once every other member has
+  // freed its memory (see world.cc).
+  struct HeapRelease {
+    HeapRelease() = default;
+    HeapRelease(const HeapRelease&) = delete;
+    HeapRelease& operator=(const HeapRelease&) = delete;
+    ~HeapRelease();
+  };
+  HeapRelease heap_release_;
   WorldOptions options_;
   sim::Scheduler scheduler_;
   std::unique_ptr<sim::Substrate> substrate_;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
 #include <vector>
 
 namespace tabs::sim {
@@ -380,8 +382,120 @@ TEST(SchedulerTest, DestructorUnwindsBlockedTasks) {
   WaitQueue q;
   sched->Spawn("stuck", 1, 0, [&] { sched->Wait(q); });
   EXPECT_EQ(sched->Run(), 1);
-  sched.reset();  // must not hang or leak threads
+  sched.reset();  // must not hang or leak task stacks
   SUCCEED();
+}
+
+// The process's OS thread count, from /proc/self/status.
+int OsThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return std::stoi(line.substr(8));
+    }
+  }
+  return -1;
+}
+
+TEST(SchedulerTest, RunsEveryTaskOnTheCallingThread) {
+  ASSERT_EQ(OsThreads(), 1);
+  Scheduler sched;
+  WaitQueue q;
+  std::vector<int> seen;
+  for (int i = 0; i < 8; ++i) {
+    sched.Spawn("waiter", 1, i, [&] {
+      seen.push_back(OsThreads());
+      sched.Wait(q);
+      seen.push_back(OsThreads());
+    });
+  }
+  sched.Spawn("notifier", 2, 100, [&] { sched.NotifyAll(q); });
+  EXPECT_EQ(sched.Run(), 0);
+  EXPECT_EQ(seen, std::vector<int>(16, 1));
+  EXPECT_EQ(OsThreads(), 1);
+}
+
+TEST(SchedulerTest, KilledWaveUnwindsAndItsContextsAreReused) {
+  constexpr int kTasks = 10000;
+  struct CountsUnwind {
+    int& unwound;
+    ~CountsUnwind() { ++unwound; }
+  };
+  Scheduler sched;
+  WaitQueue q;
+  int unwound = 0;
+  for (int i = 0; i < kTasks; ++i) {
+    sched.Spawn("blocked", 7, 0, [&] {
+      CountsUnwind guard{unwound};
+      sched.Wait(q);
+      ADD_FAILURE() << "a killed task resumed past its Wait";
+    });
+  }
+  EXPECT_EQ(sched.Run(), kTasks);
+  EXPECT_EQ(sched.contexts_created(), static_cast<std::size_t>(kTasks));
+  sched.Spawn("killer", 1, 10, [&] {
+    sched.KillWhere([](const Task& t) { return t.node == 7; });
+  });
+  EXPECT_EQ(sched.Run(), 0);
+  EXPECT_EQ(unwound, kTasks);
+  const std::size_t contexts = sched.contexts_created();
+
+  // A second wave as large as the first runs entirely on recycled contexts.
+  int finished = 0;
+  for (int i = 0; i < kTasks; ++i) {
+    sched.Spawn("second", 2, 20, [&] {
+      sched.Yield();
+      ++finished;
+    });
+  }
+  EXPECT_EQ(sched.Run(), 0);
+  EXPECT_EQ(finished, kTasks);
+  EXPECT_EQ(sched.contexts_created(), contexts);
+}
+
+// Recurses until the stack runs out; using the frame after the call keeps
+// the compiler from turning it into a loop.
+[[gnu::noinline]] int Recurse(int depth) {
+  volatile char frame[1024];
+  frame[0] = static_cast<char>(depth);
+  if (depth > (1 << 24)) {
+    return 0;
+  }
+  return Recurse(depth + 1) + frame[0];
+}
+
+TEST(SchedulerDeathTest, StackOverflowDiesAtTheGuardPage) {
+  EXPECT_DEATH(
+      {
+        Scheduler sched;
+        WaitQueue q;
+        // A blocked neighbour whose stack the overflow must not reach.
+        sched.Spawn("neighbour", 1, 0, [&] { sched.Wait(q); });
+        sched.Spawn("overflow", 1, 10, [] { Recurse(0); });
+        sched.Run();
+      },
+      "");
+}
+
+TEST(SchedulerDeathTest, BlockingWhileAnExceptionUnwindsFailsStop) {
+  EXPECT_DEATH(
+      {
+        Scheduler sched;
+        sched.Spawn("unwinding", 1, 0, [&] {
+          struct YieldsInDestructor {
+            Scheduler& sched;
+            ~YieldsInDestructor() { sched.Yield(); }
+          };
+          try {
+            YieldsInDestructor y{sched};
+            throw 1;
+          } catch (int) {
+          }
+        });
+        sched.Run();
+      },
+      "exception was propagating");
 }
 
 }  // namespace
