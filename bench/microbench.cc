@@ -1,8 +1,9 @@
 // Real-CPU micro-benchmarks (google-benchmark) of the substrate's hot
-// paths: log append/force, lock acquire/release, scheduler task turnaround
-// and task switch, recoverable-segment access, and B-tree operations. These
-// measure the implementation itself (host nanoseconds), not the simulated
-// Perq — the Table 5-x binaries handle the paper's virtual-time results.
+// paths: log append/force, lock acquire/release (also after a bulk load),
+// scheduler task turnaround and task switch, recoverable-segment access, and
+// B-tree operations. These measure the implementation itself (host
+// nanoseconds), not the simulated Perq — the Table 5-x binaries handle the
+// paper's virtual-time results.
 
 #include <benchmark/benchmark.h>
 
@@ -66,6 +67,28 @@ void BM_LockAcquireRelease(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LockAcquireRelease);
+
+// BM_LockAcquireRelease after one transaction has held `range(0)` locks and
+// committed. The object table keeps its peak capacity, so this checks that a
+// commit's release walks only the committer's own locks: the cost must be
+// the same at every argument.
+void BM_LockReleaseAfterBulkLoad(benchmark::State& state) {
+  sim::Scheduler sched;
+  lock::LockManager lm(sched, lock::CompatibilityMatrix::SharedExclusive(), 1000);
+  const TransactionId loader{1, 1};
+  for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(state.range(0)); ++i) {
+    lm.ConditionalLock(loader, ObjectId{1, 4 * i, 4}, lock::kExclusive);
+  }
+  lm.ReleaseAll(loader);
+  TransactionId tid{1, 2};
+  ObjectId oid{1, 0, 4};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lm.ConditionalLock(tid, oid, lock::kExclusive));
+    lm.ReleaseAll(tid);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LockReleaseAfterBulkLoad)->Arg(0)->Arg(1024);
 
 void BM_SchedulerTaskTurnaround(benchmark::State& state) {
   for (auto _ : state) {

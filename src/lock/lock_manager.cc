@@ -36,10 +36,7 @@ Status LockManager::Lock(const TransactionId& tid, const ObjectId& oid, LockMode
   }
   LockHead& head = heads_[oid];
   if (CanGrant(head, tid, mode) && !(grant_veto_ && grant_veto_(oid))) {
-    head.granted[tid] |= ModeBit(mode);
-    if (grant_sink_) {
-      grant_sink_(tid, oid);
-    }
+    Grant(head, tid, oid, mode);
     return Status::kOk;
   }
   auto waiter = std::make_shared<Waiter>();
@@ -86,10 +83,7 @@ bool LockManager::ConditionalLock(const TransactionId& tid, const ObjectId& oid,
     }
     return false;
   }
-  head.granted[tid] |= ModeBit(mode);
-  if (grant_sink_) {
-    grant_sink_(tid, oid);
-  }
+  Grant(head, tid, oid, mode);
   return true;
 }
 
@@ -105,6 +99,18 @@ bool LockManager::Holds(const TransactionId& tid, const ObjectId& oid, LockMode 
   }
   const auto* h = it->value.granted.Find(tid);
   return h != nullptr && (h->value & ModeBit(mode)) != 0;
+}
+
+void LockManager::Grant(LockHead& head, const TransactionId& tid, const ObjectId& oid,
+                        LockMode mode) {
+  ModeMask& modes = head.granted[tid];
+  if (modes == 0) {
+    held_[tid].push_back(oid);
+  }
+  modes |= ModeBit(mode);
+  if (grant_sink_) {
+    grant_sink_(tid, oid);
+  }
 }
 
 void LockManager::GrantEligibleWaiters(LockHead& head) {
@@ -125,10 +131,7 @@ void LockManager::GrantEligibleWaiters(LockHead& head) {
     if (grant_veto_ && grant_veto_(w->oid)) {
       break;  // a predecessor is mid-abort: stay parked until it settles
     }
-    head.granted[w->tid] |= ModeBit(w->mode);
-    if (grant_sink_) {
-      grant_sink_(w->tid, w->oid);
-    }
+    Grant(head, w->tid, w->oid, w->mode);
     sched_.NotifyOne(w->queue);
     head.waiters.erase(head.waiters.begin());
   }
@@ -160,18 +163,30 @@ std::vector<ObjectId> LockManager::SortedOids() const {
   return oids;
 }
 
+std::vector<ObjectId> LockManager::LocksHeldBy(const TransactionId& tid) const {
+  const auto* it = held_.Find(tid);
+  if (it == nullptr) {
+    return {};
+  }
+  std::vector<ObjectId> oids = it->value;
+  std::sort(oids.begin(), oids.end());
+  return oids;
+}
+
 void LockManager::ReleaseAll(const TransactionId& tid) {
   // Walk in ObjectId order: GrantEligibleWaiters wakes tasks, and the wake
-  // sequence must not depend on hash-table iteration order.
-  for (const ObjectId& oid : SortedOids()) {
-    auto* it = heads_.Find(oid);
-    if (it == nullptr) {
-      continue;
-    }
-    LockHead& head = it->value;
-    if (head.granted.Erase(tid)) {
-      GrantEligibleWaiters(head);
-    }
+  // sequence must not depend on grant or hash-table order.
+  auto* it = held_.Find(tid);
+  if (it == nullptr) {
+    return;
+  }
+  std::vector<ObjectId> oids = std::move(it->value);
+  held_.Erase(tid);
+  std::sort(oids.begin(), oids.end());
+  for (const ObjectId& oid : oids) {
+    LockHead& head = heads_.Find(oid)->value;
+    head.granted.Erase(tid);
+    GrantEligibleWaiters(head);
     if (head.granted.empty() && head.waiters.empty()) {
       heads_.Erase(oid);
     }
@@ -181,25 +196,22 @@ void LockManager::ReleaseAll(const TransactionId& tid) {
 void LockManager::InheritToParent(const TransactionId& child, const TransactionId& parent) {
   // Pure re-keying: no wakes, no charges, and the final table state is the
   // same whatever order the heads are visited in.
-  for (auto& e : heads_) {
-    auto* it = e.value.granted.Find(child);
-    if (it == nullptr) {
-      continue;
-    }
-    ModeMask modes = it->value;
-    e.value.granted.Erase(child);
-    e.value.granted[parent] |= modes;
+  auto* it = held_.Find(child);
+  if (it == nullptr) {
+    return;
   }
-}
-
-std::vector<ObjectId> LockManager::LocksHeldBy(const TransactionId& tid) const {
-  std::vector<ObjectId> out;
-  for (const ObjectId& oid : SortedOids()) {
-    if (heads_.Find(oid)->value.granted.Contains(tid)) {
-      out.push_back(oid);
+  std::vector<ObjectId> oids = std::move(it->value);
+  held_.Erase(child);
+  for (const ObjectId& oid : oids) {
+    auto& granted = heads_.Find(oid)->value.granted;
+    ModeMask modes = granted.Find(child)->value;
+    granted.Erase(child);
+    ModeMask& inherited = granted[parent];
+    if (inherited == 0) {
+      held_[parent].push_back(oid);
     }
+    inherited |= modes;
   }
-  return out;
 }
 
 std::vector<LockManager::WaitsForEdge> LockManager::WaitsFor() const {

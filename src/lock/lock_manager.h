@@ -62,6 +62,7 @@ class LockManager {
   // Subtransaction commit: re-owns every lock of `child` to `parent`.
   void InheritToParent(const TransactionId& child, const TransactionId& parent);
 
+  // The objects `tid` holds a lock on, in ObjectId order.
   std::vector<ObjectId> LocksHeldBy(const TransactionId& tid) const;
   size_t LockedObjectCount() const { return heads_.size(); }
 
@@ -123,13 +124,16 @@ class LockManager {
   };
 
   bool CanGrant(const LockHead& head, const TransactionId& tid, LockMode mode) const;
+  // Adds `mode` to `tid`'s modes on `oid` (whose head is `head`), recording
+  // `oid` in held_ when it is `tid`'s first mode there, and reports the
+  // grant to the sink. Every grant goes through here.
+  void Grant(LockHead& head, const TransactionId& tid, const ObjectId& oid, LockMode mode);
   void GrantEligibleWaiters(LockHead& head);
   // The object table's keys in ObjectId order. Everywhere iteration order is
-  // observable (waiter wake order, waits-for edge order, held-lock listings)
-  // we walk this sorted view, which is exactly the order the table had when
-  // it was a std::map — so scheduling stays bit-identical while the hot
-  // per-operation lookups (Lock, ConditionalLock, IsLocked, Holds) drop from
-  // O(log n) to O(1).
+  // observable (waiter wake order, waits-for edge order) we walk this sorted
+  // view, which is exactly the order the table had when it was a std::map —
+  // so scheduling stays bit-identical while the hot per-operation lookups
+  // (Lock, ConditionalLock, IsLocked, Holds) drop from O(log n) to O(1).
   std::vector<ObjectId> SortedOids() const;
 
   sim::Scheduler& sched_;
@@ -141,6 +145,11 @@ class LockManager {
   // heads_[...] call; the post-Wait re-lookup in Lock() already existed for
   // the same reason.
   FlatHashMap<ObjectId, LockHead> heads_;
+  // Per holder, the objects it has a non-zero mode mask on, in grant order.
+  // heads_ never shrinks, so ReleaseAll, InheritToParent and LocksHeldBy
+  // walk this list instead of the whole table: a commit costs its own locks,
+  // not the table's peak size.
+  FlatHashMap<TransactionId, std::vector<ObjectId>> held_;
   GrantSink grant_sink_;
   GrantVeto grant_veto_;
   RequesterVeto requester_veto_;

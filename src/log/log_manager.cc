@@ -13,6 +13,18 @@ namespace {
 
 constexpr std::uint64_t kFrameOverhead = 8;  // leading + trailing u32 lengths
 
+// FNV-1a, which streams: hashing [a, c) equals hashing [b, c) from the hash
+// of [a, b).
+constexpr std::uint32_t kFnvOffsetBasis = 2166136261u;
+
+std::uint32_t Fnv1a(std::uint32_t h, const std::uint8_t* begin, const std::uint8_t* end) {
+  for (const std::uint8_t* p = begin; p != end; ++p) {
+    h ^= *p;
+    h *= 16777619u;
+  }
+  return h;
+}
+
 std::uint32_t ReadU32(std::span<const std::uint8_t> s) {
   std::uint32_t v;
   assert(s.size() >= sizeof v);
@@ -49,13 +61,7 @@ std::uint32_t StableLogDevice::ComputeSum(std::uint64_t sector) const {
   // partial; its checksum covers only the bytes written so far).
   std::uint64_t begin = sector * kSectorBytes;
   std::uint64_t end = std::min(begin + kSectorBytes, size_);
-  const std::uint8_t* bytes = data_.get();
-  std::uint32_t h = 2166136261u;
-  for (std::uint64_t i = begin; i < end; ++i) {
-    h ^= bytes[i];
-    h *= 16777619u;
-  }
-  return h;
+  return Fnv1a(kFnvOffsetBasis, data_.get() + begin, data_.get() + end);
 }
 
 void StableLogDevice::ResyncSums(std::uint64_t begin, std::uint64_t end) {
@@ -71,11 +77,26 @@ void StableLogDevice::ResyncSums(std::uint64_t begin, std::uint64_t end) {
   }
 }
 
+void StableLogDevice::ExtendSums(std::uint64_t begin) {
+  sums_.resize((size_ + kSectorBytes - 1) / kSectorBytes);
+  const std::uint8_t* bytes = data_.get();
+  for (std::uint64_t i = begin; i < size_;) {
+    std::uint64_t s = i / kSectorBytes;
+    std::uint64_t end = std::min((s + 1) * kSectorBytes, size_);
+    // A partial sector's stored sum is the running hash of its bytes so far.
+    // Folding the new bytes into it, rather than rehashing the sector, also
+    // keeps a sum that CorruptSector left stale stale.
+    std::uint32_t h = i % kSectorBytes == 0 ? kFnvOffsetBasis : sums_[s];
+    sums_[s] = Fnv1a(h, bytes + i, bytes + end);
+    i = end;
+  }
+}
+
 void StableLogDevice::Append(const Bytes& bytes) {
   std::uint64_t begin = size_;
   Resize(begin + bytes.size());
   std::copy(bytes.begin(), bytes.end(), data_.get() + begin);
-  ResyncSums(begin, size_);
+  ExtendSums(begin);
 }
 
 void StableLogDevice::AppendTorn(const Bytes& bytes, int durable_sectors) {
@@ -90,7 +111,7 @@ void StableLogDevice::AppendTorn(const Bytes& bytes, int durable_sectors) {
                                                                          keep_limit - begin);
   Resize(begin + keep);
   std::copy(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(keep), data_.get() + begin);
-  ResyncSums(begin, size_);
+  ExtendSums(begin);
 }
 
 void StableLogDevice::CorruptSector(std::uint64_t sector) {

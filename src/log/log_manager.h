@@ -77,6 +77,9 @@ class StableLogDevice {
   std::uint32_t ComputeSum(std::uint64_t sector) const;
   // Recomputes checksums for every sector overlapping [begin, end).
   void ResyncSums(std::uint64_t begin, std::uint64_t end);
+  // Brings the checksums up to date after bytes were appended at `begin`,
+  // hashing only the new bytes.
+  void ExtendSums(std::uint64_t begin);
   // Sets size() to `n`, growing the buffer geometrically; new bytes are
   // uninitialised.
   void Resize(std::uint64_t n);

@@ -1,5 +1,11 @@
+// glibc's fortified _longjmp (__longjmp_chk) rejects a jump to a lower stack
+// address unless it lands on the signal stack. A switch between two task
+// stacks is such a jump, so this file must see the plain _longjmp.
+#undef _FORTIFY_SOURCE
+
 #include "src/sim/scheduler.h"
 
+#include <setjmp.h>
 #include <sys/mman.h>
 #include <ucontext.h>
 #include <unistd.h>
@@ -56,12 +62,16 @@ thread_local Context* switching_from = nullptr;
 #endif
 }  // namespace
 
-// `uc` holds the registers while the context is switched out. `stack` is the
-// whole mapping, lowest page PROT_NONE; Run()'s context has none (it runs on
-// the thread's own stack). The last three fields exist for ASan, which must
-// be told which stack a switch lands on.
+// `jb` holds the callee-saved registers while the context is switched out.
+// `uc` is the first frame makecontext built; it is entered once, after which
+// ContextMain loops on the context and every switch goes through `jb`.
+// `stack` is the whole mapping, lowest page PROT_NONE; Run()'s context has
+// none (it runs on the thread's own stack). The last three fields exist for
+// ASan, which must be told which stack a switch lands on.
 struct Context {
+  jmp_buf jb;
   ucontext_t uc;
+  bool entered = false;  // `jb` is live: the context has run
   char* stack = nullptr;
   Task* task = nullptr;  // the task assigned to this context, if any
   Scheduler* scheduler = nullptr;
@@ -84,6 +94,25 @@ struct Context {
   }
 };
 
+namespace {
+// Saves the running context's registers into `from->jb` and resumes `to`:
+// with _longjmp once `to` has run, or by entering its makecontext frame the
+// first time. Returns when something jumps back to `from`. _setjmp returns
+// twice; isolating it here keeps SwitchTo's locals out of the clobber
+// analysis.
+[[gnu::noinline]] void SaveAndJump(Context* from, Context* to) {
+  if (_setjmp(from->jb) != 0) {
+    return;  // resumed
+  }
+  if (to->entered) {
+    _longjmp(to->jb, 1);
+  }
+  to->entered = true;
+  setcontext(&to->uc);
+  Die("tabs::sim::Scheduler: setcontext");
+}
+}  // namespace
+
 WaitQueue::~WaitQueue() {
   // Every task in waiters_ is blocked with waiting_on == this (wake and
   // timer-fire erase eagerly), and blocked tasks are never reaped, so the
@@ -96,7 +125,9 @@ WaitQueue::~WaitQueue() {
   }
 }
 
-Scheduler::Scheduler() : run_context_(std::make_unique<Context>()) {}
+Scheduler::Scheduler() : run_context_(std::make_unique<Context>()) {
+  run_context_->entered = true;  // the calling thread is already running on it
+}
 
 Scheduler::~Scheduler() { Shutdown(); }
 
@@ -186,7 +217,7 @@ void Scheduler::SwitchTo(Context* from, Task* next) {
   switching_from = from;
   __sanitizer_start_switch_fiber(&from->fake_stack, to->stack_bottom, to->stack_size);
 #endif
-  swapcontext(&from->uc, &to->uc);
+  SaveAndJump(from, to);
 #ifdef TABS_ASAN_FIBERS
   // Resumed: record the bounds of the stack we came from (how Run()'s
   // thread stack becomes known for the switches back into it).

@@ -16,13 +16,17 @@
 // Execution substrate: tasks are coroutines in the literal sense — each runs
 // on its own user-space context (a `makecontext` entry on an mmap'd stack) and
 // all of them share the caller's one OS thread. A parking or finishing task
-// selects its successor and `swapcontext`s straight into it, or back into
-// Run() when the world goes quiescent, so a simulated event costs a
-// user-space register swap and no kernel scheduling at all. Contexts are
-// pooled and reused across tasks, so spawning a task costs a freelist pop
-// rather than a stack mapping. Each stack reserves 1 MiB (MAP_NORESERVE:
-// only touched pages are committed) above a PROT_NONE guard page, so an
-// overflowing task faults instead of corrupting a neighbouring stack.
+// selects its successor and jumps straight into it, or back into Run() when
+// the world goes quiescent. A context's first frame is entered once with
+// `setcontext`; every switch after that is an `_setjmp`/`_longjmp` pair, i.e.
+// a save and restore of the callee-saved registers with no system call. The
+// signal mask and the FP environment are not switched (the simulator never
+// changes either), so a switch between tasks costs no kernel work at all.
+// Contexts are pooled and reused across tasks, so spawning a task costs a
+// freelist pop rather than a stack mapping. Each stack reserves 1 MiB
+// (MAP_NORESERVE: only touched pages are committed) above a PROT_NONE guard
+// page, so an overflowing task faults instead of corrupting a neighbouring
+// stack.
 // Runnable tasks live in a binary min-heap keyed (virtual time, task id);
 // pending Wait() timeouts live in an ordered set that is purged eagerly when
 // a timer is cancelled. Task objects themselves are recycled through a
@@ -251,8 +255,9 @@ class Scheduler {
     }
   };
 
-  // Entry point of every context; never returns. makecontext passes int
-  // arguments only, so the Context* arrives as two 32-bit halves.
+  // Entry point of every context, entered once via setcontext; never
+  // returns. makecontext passes int arguments only, so the Context* arrives
+  // as two 32-bit halves.
   static void ContextMain(unsigned hi, unsigned lo);
   Context* AcquireContext();
   // Saves the running context into `from` and resumes `next`'s context, or

@@ -151,6 +151,63 @@ TEST_F(LockTest, SubtransactionLockInheritance) {
   EXPECT_EQ(sched_.Run(), 0);
 }
 
+TEST_F(LockTest, ReleaseAllWakesWaitersInObjectIdOrder) {
+  // Acquired out of ObjectId order; the grants to the waiters must still
+  // come in ObjectId order, whatever order the holder took its locks in.
+  const std::vector<ObjectId> objects = {{1, 12, 4}, {1, 0, 4}, {1, 8, 4}, {1, 4, 4}};
+  std::vector<std::uint32_t> waiter_grants;
+  lm_.SetGrantSink([&](const TransactionId& tid, const ObjectId& oid) {
+    if (tid != kT1) {
+      waiter_grants.push_back(oid.offset);
+    }
+  });
+  Spawn([&] {
+    for (const ObjectId& oid : objects) {
+      ASSERT_EQ(lm_.Lock(kT1, oid, kExclusive), Status::kOk);
+    }
+    sched_.Charge(100);
+    sched_.Yield();  // one waiter queues up on each object
+    lm_.ReleaseAll(kT1);
+  });
+  for (std::size_t i = 0; i < objects.size(); ++i) {
+    Spawn(
+        [&, i] {
+          TransactionId tid{1, 10 + i};
+          EXPECT_EQ(lm_.Lock(tid, objects[i], kExclusive, 100000), Status::kOk);
+          lm_.ReleaseAll(tid);
+        },
+        10);
+  }
+  EXPECT_EQ(sched_.Run(), 0);
+  EXPECT_EQ(waiter_grants, (std::vector<std::uint32_t>{0, 4, 8, 12}));
+  EXPECT_EQ(lm_.LockedObjectCount(), 0u);
+}
+
+TEST_F(LockTest, InheritedLocksAreReleasedWithTheParent) {
+  constexpr ObjectId kObjC{1, 8, 4};
+  Spawn([&] {
+    TransactionId parent{1, 10}, child{1, 11};
+    ASSERT_EQ(lm_.Lock(parent, kObjA, kShared), Status::kOk);
+    ASSERT_EQ(lm_.Lock(child, kObjC, kExclusive), Status::kOk);
+    ASSERT_EQ(lm_.Lock(child, kObjA, kShared), Status::kOk);
+    ASSERT_EQ(lm_.Lock(child, kObjB, kExclusive), Status::kOk);
+    lm_.InheritToParent(child, parent);
+    EXPECT_TRUE(lm_.LocksHeldBy(child).empty());
+    EXPECT_EQ(lm_.LocksHeldBy(parent), (std::vector<ObjectId>{kObjA, kObjB, kObjC}));
+    EXPECT_TRUE(lm_.Holds(parent, kObjC, kExclusive));
+
+    lm_.ReleaseAll(parent);
+    EXPECT_TRUE(lm_.LocksHeldBy(parent).empty());
+    EXPECT_EQ(lm_.LockedObjectCount(), 0u);
+    for (const ObjectId& oid : {kObjA, kObjB, kObjC}) {
+      EXPECT_FALSE(lm_.IsLocked(oid));
+      EXPECT_TRUE(lm_.ConditionalLock(kT2, oid, kExclusive));
+    }
+    lm_.ReleaseAll(kT2);
+  });
+  EXPECT_EQ(sched_.Run(), 0);
+}
+
 TEST_F(LockTest, IntraTransactionDeadlockBetweenSubtransactions) {
   // The paper: subtransactions "may cause intra-transaction deadlock if two
   // subtransactions update the same data" (Section 2.1.3).

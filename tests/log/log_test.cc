@@ -222,6 +222,27 @@ TEST_F(LogTest, SectorChecksumsTrackAppendsAndDetectCorruption) {
   EXPECT_EQ(device_.FirstInvalidByte(), StableLogDevice::kSectorBytes);
 }
 
+TEST_F(LogTest, SectorChecksumsSurviveAppendsThatSplitSectors) {
+  // Appends of odd sizes start and end mid-sector, so each one extends the
+  // partial last sector's checksum.
+  for (std::size_t n = 1; device_.size() < 4 * StableLogDevice::kSectorBytes; n += 37) {
+    device_.Append(Bytes(n, static_cast<std::uint8_t>(n)));
+    ASSERT_EQ(device_.FirstInvalidByte(), device_.size()) << "after appending " << n;
+  }
+  device_.AppendTorn(Bytes(StableLogDevice::kSectorBytes, 0x3C), 1);
+  EXPECT_EQ(device_.FirstInvalidByte(), device_.size());
+}
+
+TEST_F(LogTest, CorruptPartialSectorStaysInvalidAcrossAppends) {
+  device_.Append(Bytes(100, 0x11));
+  device_.CorruptSector(0);
+  // Later writes land in the same damaged sector; they must not launder it.
+  device_.Append(Bytes(10, 0x22));
+  device_.AppendTorn(Bytes(StableLogDevice::kSectorBytes, 0x33), 1);
+  EXPECT_FALSE(device_.SectorValid(0));
+  EXPECT_EQ(device_.FirstInvalidByte(), 0u);
+}
+
 TEST_F(LogTest, TornAppendKeepsOnlyDurableSectors) {
   Bytes big(3 * StableLogDevice::kSectorBytes, 0x7F);
   device_.AppendTorn(big, 1);

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -452,6 +454,84 @@ TEST(SchedulerTest, KilledWaveUnwindsAndItsContextsAreReused) {
   EXPECT_EQ(sched.Run(), 0);
   EXPECT_EQ(finished, kTasks);
   EXPECT_EQ(sched.contexts_created(), contexts);
+}
+
+TEST(SchedulerTest, ExceptionsStayWithTheirTaskAcrossSwitches) {
+  Scheduler sched;
+  std::vector<std::string> trace;
+  sched.Spawn("thrower", 1, 0, [&] {
+    for (int i = 0; i < 3; ++i) {
+      sched.Charge(10);
+      sched.Yield();
+    }
+    try {
+      sched.Charge(10);
+      sched.Yield();  // parked inside the try block while "other" throws
+      throw std::runtime_error("thrower");
+    } catch (const std::runtime_error& e) {
+      trace.push_back(std::string("caught ") + e.what());
+    }
+    trace.push_back("thrower done");
+  });
+  sched.Spawn("other", 1, 5, [&] {
+    for (int i = 0; i < 5; ++i) {
+      try {
+        trace.push_back("other " + std::to_string(i));
+        if (i == 3) {
+          throw std::logic_error("other");
+        }
+      } catch (const std::logic_error& e) {
+        trace.push_back(std::string("caught ") + e.what());
+      }
+      sched.Charge(10);
+      sched.Yield();
+    }
+  });
+  EXPECT_EQ(sched.Run(), 0);
+  EXPECT_EQ(trace, (std::vector<std::string>{"other 0", "other 1", "other 2", "other 3",
+                                             "caught other", "caught thrower", "thrower done",
+                                             "other 4"}));
+}
+
+TEST(SchedulerTest, LiveLocalsSurviveManySwitches) {
+  // More live values than there are callee-saved registers, each stepped by
+  // a different amount, in two tasks that alternate on every Yield: a
+  // register lost or swapped by any switch changes a final value.
+  constexpr std::uint64_t kYields = 10000;
+  Scheduler sched;
+  std::vector<std::vector<std::uint64_t>> finals(2);
+  for (std::uint64_t task = 0; task < 2; ++task) {
+    sched.Spawn("locals", 1, 0, [&sched, &finals, task] {
+      std::uint64_t a = task + 1, b = a * 3, c = a * 5, d = a * 7, e = a * 11, f = a * 13,
+                    g = a * 17, h = a * 19;
+      double x = 0.5 + static_cast<double>(task);
+      for (std::uint64_t i = 0; i < kYields; ++i) {
+        sched.Charge(1);
+        sched.Yield();
+        a += 1;
+        b += 2;
+        c += 3;
+        d += 4;
+        e += 5;
+        f += 6;
+        g += 7;
+        h += 8;
+        x += 1.0;
+      }
+      finals[task] = {a, b, c, d, e, f, g, h, static_cast<std::uint64_t>(x)};
+    });
+  }
+  EXPECT_EQ(sched.Run(), 0);
+  EXPECT_GE(sched.steps(), 2 * kYields);
+  for (std::uint64_t task = 0; task < 2; ++task) {
+    const std::uint64_t a = task + 1;
+    EXPECT_EQ(finals[task],
+              (std::vector<std::uint64_t>{a + kYields, 3 * a + 2 * kYields, 5 * a + 3 * kYields,
+                                          7 * a + 4 * kYields, 11 * a + 5 * kYields,
+                                          13 * a + 6 * kYields, 17 * a + 7 * kYields,
+                                          19 * a + 8 * kYields, task + kYields}))
+        << "task " << task;
+  }
 }
 
 // Recurses until the stack runs out; using the frame after the call keeps
