@@ -2,6 +2,15 @@
 
 namespace tabs::comm {
 
+bool CommManager::Enlist(const TransactionId& tid, const CommManager& remote) {
+  if (!network_.Reachable(self_, remote.self_)) {
+    network_.substrate().Charge(sim::Primitive::kInterNodeDataServerCall);
+    return false;
+  }
+  NoteChild(tid, remote.self_);
+  return true;
+}
+
 void CommManager::NoteChild(const TransactionId& tid, NodeId child) {
   if (child == self_) {
     return;

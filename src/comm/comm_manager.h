@@ -18,8 +18,10 @@
 // transaction, and up to `op_coalesce_batch` independent operations bound
 // for the same server travel as one large message. Both knobs default to 1,
 // which reproduces the paper's strictly sequential one-op-per-message
-// behaviour (every table5_* number is unchanged); spanning-tree maintenance
-// and reachability checks are identical on both paths.
+// behaviour (every table5_* number is unchanged). Every entry point shares
+// one reachability check and tree update (Enlist) and one receive-side
+// update (AsChild; a coalesced batch records it after its dispatch fault
+// point), and every session goes through the Network's one session core.
 
 #ifndef TABS_COMM_COMM_MANAGER_H_
 #define TABS_COMM_COMM_MANAGER_H_
@@ -76,30 +78,18 @@ class CommManager {
   // Session RPC to a remote node on behalf of a transaction. Updates the
   // spanning tree on both ends. `handler` runs on the destination node; its
   // Communication Manager must be passed so the receive side is recorded.
+  // Operation and session failures share the returned flat Result.
   template <typename R>
   Result<R> RemoteCall(const TransactionId& tid, CommManager& remote, std::string what,
-                       std::function<R()> handler) {
+                       std::function<Result<R>()> handler) {
     sim::Tracer& tracer = network_.substrate().tracer();
     sim::SpanGuard span(tracer, sim::Component::kCommunicationManager, "cm.remote-call",
                         tracer.enabled() ? ToString(tid) : std::string());
-    if (!network_.Reachable(self_, remote.self_)) {
-      // The session layer detects the dead/partitioned destination before
-      // any message flows: the remote node never becomes a participant.
-      network_.substrate().Charge(sim::Primitive::kInterNodeDataServerCall);
+    if (!Enlist(tid, remote)) {
       return Status::kNodeDown;
     }
-    // From here on the destination may receive state, so it joins the
-    // transaction's spanning tree even if the call later fails.
-    NoteChild(tid, remote.self_);
-    NodeId from = self_;
-    TransactionId tid_copy = tid;
-    CommManager* remote_ptr = &remote;
-    return network_.SessionCall<R>(
-        self_, remote.self_, std::move(what),
-        [remote_ptr, tid_copy, from, handler = std::move(handler)]() -> R {
-          remote_ptr->NoteParent(tid_copy, from);
-          return handler();
-        });
+    return network_.SessionCall<R>(self_, remote.self_, std::move(what),
+                                   AsChild<R>(tid, remote, std::move(handler)));
   }
 
   // The asynchronous fast path: issues the session call and returns a future
@@ -109,9 +99,8 @@ class CommManager {
   // maintenance and failure semantics match RemoteCall exactly: the remote
   // node joins the spanning tree before the message flows, an unreachable
   // destination yields an already-failed kNodeDown future, and a destination
-  // that dies in flight leaves the future empty (the awaiting task's
-  // Await(timeout) reports the broken session). `handler` returns Result<R>:
-  // operation and session failures share the future's flat Result.
+  // that dies in flight leaves the future empty (Network::AwaitReply reports
+  // the broken session).
   template <typename R>
   sim::FuturePtr<Result<R>> AsyncRemoteCall(const TransactionId& tid, CommManager& remote,
                                             std::string what,
@@ -119,11 +108,9 @@ class CommManager {
     sim::Substrate& sub = network_.substrate();
     sim::SpanGuard span(sub.tracer(), sim::Component::kCommunicationManager, "cm.async-call",
                         sub.tracer().enabled() ? ToString(tid) : std::string());
-    if (!network_.Reachable(self_, remote.self_)) {
-      sub.Charge(sim::Primitive::kInterNodeDataServerCall);
+    if (!Enlist(tid, remote)) {
       return FailedFuture<R>();
     }
-    NoteChild(tid, remote.self_);
     auto win = AcquireSlot(tid);
     if (win == nullptr) {
       return FailedFuture<R>();  // a lost in-flight call never freed a slot
@@ -133,16 +120,9 @@ class CommManager {
     // request has not left this node yet (a shard fan-out may die here with
     // earlier calls of the same transaction in flight).
     FAULT_POINT(sub, "comm.async-issue");
-    NodeId from = self_;
-    TransactionId tid_copy = tid;
-    CommManager* remote_ptr = &remote;
-    return network_.AsyncSessionCall<R>(
-        self_, remote.self_, std::move(what),
-        [remote_ptr, tid_copy, from, handler = std::move(handler)]() -> Result<R> {
-          remote_ptr->NoteParent(tid_copy, from);
-          return handler();
-        },
-        ReleaseSlotFn(win));
+    return network_.AsyncSessionCall<R>(self_, remote.self_, std::move(what),
+                                        AsChild<R>(tid, remote, std::move(handler)),
+                                        ReleaseSlotFn(win));
   }
 
   // Coalescing: `ops` (independent operations bound for the same server)
@@ -162,11 +142,9 @@ class CommManager {
     sim::SpanGuard span(sub.tracer(), sim::Component::kCommunicationManager,
                         k > 1 ? "cm.coalesce" : "cm.async-call",
                         sub.tracer().enabled() ? ToString(tid) : std::string());
-    if (!network_.Reachable(self_, remote.self_)) {
-      sub.Charge(sim::Primitive::kInterNodeDataServerCall);
+    if (!Enlist(tid, remote)) {
       return FailedFuture<std::vector<Result<R>>>();
     }
-    NoteChild(tid, remote.self_);
     auto win = AcquireSlot(tid);
     if (win == nullptr) {
       return FailedFuture<std::vector<Result<R>>>();
@@ -181,18 +159,14 @@ class CommManager {
     // Crash window: a coalesced batch is about to leave for one shard while
     // sibling shards' batches may already be in flight.
     FAULT_POINT(sub, "comm.batch-issue");
-    NodeId from = self_;
-    TransactionId tid_copy = tid;
-    CommManager* remote_ptr = &remote;
-    sim::Substrate* subp = &sub;
     return network_.AsyncSessionCall<std::vector<Result<R>>>(
         self_, remote.self_, std::move(what),
-        [remote_ptr, tid_copy, from, k, subp,
+        [remote = &remote, tid, from = self_, k, subp = &sub,
          ops = std::move(ops)]() -> Result<std::vector<Result<R>>> {
           // Crash window on the receiving shard: the batch arrived, the
           // sender believes it is in flight, nothing has executed yet.
           FAULT_POINT(*subp, "comm.batch-dispatch");
-          remote_ptr->NoteParent(tid_copy, from);
+          remote->NoteParent(tid, from);
           if (k > 1) {
             subp->Charge(sim::Primitive::kLargeMessage);  // unmarshal the batch
             subp->Charge(sim::Primitive::kDataServerCall, static_cast<double>(k - 1));
@@ -264,6 +238,24 @@ class CommManager {
     int outstanding = 0;
     sim::WaitQueue slots;
   };
+
+  // Every remote call's first step: the session layer detects a dead or
+  // partitioned destination before any message flows (one call primitive,
+  // and the node never becomes a participant); otherwise the destination
+  // joins the transaction's spanning tree — even if the call later fails,
+  // since from here on it may receive state.
+  bool Enlist(const TransactionId& tid, const CommManager& remote);
+
+  // Wraps `handler` so that, on arrival at `remote`, the receive side of the
+  // spanning tree is recorded before the handler runs.
+  template <typename R>
+  std::function<Result<R>()> AsChild(const TransactionId& tid, CommManager& remote,
+                                     std::function<Result<R>()> handler) {
+    return [remote = &remote, tid, from = self_, handler = std::move(handler)]() -> Result<R> {
+      remote->NoteParent(tid, from);
+      return handler();
+    };
+  }
 
   template <typename R>
   sim::FuturePtr<Result<R>> FailedFuture() {

@@ -5,11 +5,13 @@
 // distributed two-phase commit, and broadcasting for name lookup. This class
 // provides all three with virtual-time semantics:
 //
-//  * A session call blocks the caller, runs its handler in a task on the
-//    destination node, and resumes the caller at the handler's finish time
-//    plus transit — so remote latency composes exactly as the paper's
-//    primitive analysis assumes. Sessions deliver at-most-once and detect
-//    remote crashes (a dead or crashing destination surfaces as kNodeDown).
+//  * A session call runs its handler in a task on the destination node and
+//    delivers the reply at the handler's finish time plus transit — so
+//    remote latency composes exactly as the paper's primitive analysis
+//    assumes. One implementation serves both forms: the blocking
+//    SessionCall is AsyncSessionCall's future, awaited. Sessions deliver
+//    at-most-once and detect remote crashes (a dead or crashing destination
+//    surfaces as kNodeDown).
 //  * A datagram is fire-and-forget: the handler task starts one datagram
 //    time after the send, and the sender's clock does not advance. Loss can
 //    be injected per (from, to) pair for protocol tests.
@@ -92,104 +94,91 @@ class Network {
   void SetDatagramFaults(const DatagramFaults& faults);
 
   // --- session RPC ----------------------------------------------------------
-  // Runs `handler` on node `to` and returns its value. Charges one inter-node
-  // data-server-call primitive split across the two transits. R must be
-  // movable. On unreachable/crashed destination returns kNodeDown.
+  // One session implementation, `Send`, behind two entry points that differ
+  // only in whether the caller waits. Either way a session charges one
+  // inter-node call primitive: half-transit on the sender at issue, half on
+  // the delivery task after the handler ran. `handler` returns a Result<R>,
+  // so remote-operation failures and session-layer failures (kNodeDown)
+  // arrive as one flat Result.
+
+  // Runs `handler` on node `to` and returns its result: the async call,
+  // awaited. An unreachable destination, an injected session drop, or a
+  // destination that dies with the call in flight (detected after `timeout`)
+  // all yield kNodeDown.
   template <typename R>
-  Result<R> SessionCall(NodeId from, NodeId to, std::string what, std::function<R()> handler,
+  Result<R> SessionCall(NodeId from, NodeId to, std::string what,
+                        std::function<Result<R>()> handler,
                         SimTime timeout = kDefaultSessionTimeout) {
-    sim::Scheduler& sched = substrate_.scheduler();
     // The whole RPC — outbound transit, remote work, reply wait — is one
     // session span; the remote handler's own spans attribute the middle.
     sim::SpanGuard span(substrate_.tracer(), sim::Component::kCommunicationManager,
                         "session.call", substrate_.tracer().enabled() ? what : std::string());
-    if (!Reachable(from, to)) {
-      // Permanent communication failure detected by the session layer.
-      substrate_.Charge(sim::Primitive::kInterNodeDataServerCall);
-      return Status::kNodeDown;
-    }
-    if (session_drop_ && session_drop_(from, to)) {
-      // Injected loss on the session: establishment/send fails and the
-      // at-most-once session layer reports the broken session to the caller.
-      substrate_.Charge(sim::Primitive::kInterNodeDataServerCall);
-      substrate_.metrics().CountFault(sim::FaultKind::kSessionDrop);
-      return Status::kNodeDown;
-    }
-    substrate_.metrics().Count(sim::Primitive::kInterNodeDataServerCall);
-    if (substrate_.tracer().enabled() && sched.in_task()) {
-      substrate_.tracer().Record(sched.Now(), from,
-                                 sim::PrimitiveName(sim::Primitive::kInterNodeDataServerCall),
-                                 what);
-    }
-    SimTime half = substrate_.CostOf(sim::Primitive::kInterNodeDataServerCall) / 2;
-    sched.Charge(half);  // outbound transit
-    auto channel = std::make_shared<sim::Channel<Result<R>>>(sched);
-    sched.Spawn(std::move(what), to, sched.Now(), [this, from, to, half, channel,
-                                                   handler = std::move(handler)] {
-      if (!IsAlive(to)) {
-        return;  // destination died in transit; the session will time out
-      }
-      if (!IsAlive(from)) {
-        // Sender died in transit: the connection-oriented session is gone and
-        // nobody can consume a reply. Executing the request would only create
-        // orphan transaction state, so the session layer discards it.
-        return;
-      }
-      Result<R> r = handler();
-      {
-        sim::SpanGuard recv(substrate_.tracer(), sim::Component::kCommunicationManager,
-                            "session.reply");
-        substrate_.scheduler().Charge(half);  // return transit
-      }
-      channel->Push(std::move(r));
-    });
-    Result<R> out(Status::kNodeDown);
-    if (!channel->PopWithTimeout(timeout, &out)) {
-      return Status::kNodeDown;  // session broken: remote crash detected
-    }
-    return out;
+    return AwaitReply(Send<R>(from, to, std::move(what), std::move(handler), {}), timeout);
   }
 
   // Like SessionCall, but the caller does not block: the returned future is
   // fulfilled when the reply arrives (at the reply's virtual time, so the
-  // awaiting task joins to it exactly as a blocking call would). Charging is
-  // identical to SessionCall — one inter-node call primitive per session,
-  // half-transit on the sender at issue, half on the delivery task — so a
-  // window of one reproduces the synchronous latency composition.
-  //
-  // `handler` returns a Result<R> so remote-operation failures and
-  // session-layer failures (kNodeDown) share the future's payload — the
-  // await site sees one flat Result either way.
+  // awaiting task joins to it exactly as a blocking call would — a window of
+  // one reproduces the synchronous latency composition by construction).
   //
   // `on_complete` (optional) runs exactly once when the session resolves
   // without the destination crashing: at reply delivery, or synchronously on
   // an immediate failure (unreachable destination, injected session drop).
   // If the destination dies with the call in flight it never runs and the
-  // future stays empty — the caller's Await(timeout) detects the broken
-  // session, exactly like SessionCall's PopWithTimeout.
+  // future stays empty — AwaitReply reports the broken session.
   template <typename R>
   sim::FuturePtr<Result<R>> AsyncSessionCall(NodeId from, NodeId to, std::string what,
                                              std::function<Result<R>()> handler,
                                              std::function<void()> on_complete = {}) {
-    sim::Scheduler& sched = substrate_.scheduler();
-    auto future = std::make_shared<sim::Future<Result<R>>>(sched);
     // The issue side is a short span: only the outbound transit runs on the
     // caller; the remote work and return transit attribute to the delivery
     // task (the "session.reply" span).
     sim::SpanGuard span(substrate_.tracer(), sim::Component::kCommunicationManager,
                         "session.async-send",
                         substrate_.tracer().enabled() ? what : std::string());
-    if (!Reachable(from, to)) {
-      substrate_.Charge(sim::Primitive::kInterNodeDataServerCall);
-      if (on_complete) {
-        on_complete();
-      }
-      future->Fulfil(Status::kNodeDown);
-      return future;
+    return Send<R>(from, to, std::move(what), std::move(handler), std::move(on_complete));
+  }
+
+  // Waits up to `timeout` for a session reply. A future still empty by then
+  // means the session broke (the destination died with the call in flight):
+  // kNodeDown.
+  template <typename R>
+  static Result<R> AwaitReply(const sim::FuturePtr<Result<R>>& reply, SimTime timeout) {
+    if (!reply->Await(timeout)) {
+      return Status::kNodeDown;
     }
-    if (session_drop_ && session_drop_(from, to)) {
+    return std::move(reply->value());
+  }
+
+  // --- datagrams -------------------------------------------------------------
+  // Fire-and-forget. The handler runs on `to` one datagram-time later; the
+  // sender does not block and its clock does not advance.
+  void SendDatagram(NodeId from, NodeId to, std::string what, std::function<void()> handler);
+
+  // Datagram to every live node except the sender. `handler(node)` runs on
+  // each destination.
+  void Broadcast(NodeId from, std::string what, std::function<void(NodeId)> handler);
+
+  sim::Substrate& substrate() { return substrate_; }
+
+ private:
+  // The session core behind both entry points. Opens no span of its own.
+  template <typename R>
+  sim::FuturePtr<Result<R>> Send(NodeId from, NodeId to, std::string what,
+                                 std::function<Result<R>()> handler,
+                                 std::function<void()> on_complete) {
+    sim::Scheduler& sched = substrate_.scheduler();
+    auto future = std::make_shared<sim::Future<Result<R>>>(sched);
+    const bool reachable = Reachable(from, to);
+    const bool dropped = reachable && session_drop_ && session_drop_(from, to);
+    if (!reachable || dropped) {
+      // The session layer detects the dead or partitioned destination, or
+      // the injected loss on establishment, and reports the broken session
+      // at once rather than losing the call silently.
       substrate_.Charge(sim::Primitive::kInterNodeDataServerCall);
-      substrate_.metrics().CountFault(sim::FaultKind::kSessionDrop);
+      if (dropped) {
+        substrate_.metrics().CountFault(sim::FaultKind::kSessionDrop);
+      }
       if (on_complete) {
         on_complete();
       }
@@ -208,7 +197,7 @@ class Network {
                 [this, from, to, half, future, handler = std::move(handler),
                  on_complete = std::move(on_complete)] {
                   if (!IsAlive(to)) {
-                    return;  // died in transit; the caller's Await times out
+                    return;  // died in transit; the caller's wait times out
                   }
                   if (!IsAlive(from)) {
                     return;  // sender died in transit: no session to reply
@@ -228,18 +217,6 @@ class Network {
     return future;
   }
 
-  // --- datagrams -------------------------------------------------------------
-  // Fire-and-forget. The handler runs on `to` one datagram-time later; the
-  // sender does not block and its clock does not advance.
-  void SendDatagram(NodeId from, NodeId to, std::string what, std::function<void()> handler);
-
-  // Datagram to every live node except the sender. `handler(node)` runs on
-  // each destination.
-  void Broadcast(NodeId from, std::string what, std::function<void(NodeId)> handler);
-
-  sim::Substrate& substrate() { return substrate_; }
-
- private:
   sim::Substrate& substrate_;
   std::set<NodeId> alive_;
   std::set<std::pair<NodeId, NodeId>> partitions_;  // normalized (min,max)

@@ -100,23 +100,8 @@ class DataServer : public txn::CommitParticipant {
     // grow the transaction's spanning tree. (Per-transaction CM session
     // setup costs are charged by the CM at first contact.)
     assert(tx.origin_cm != nullptr && "remote call without an origin CM");
-    DataServer* self = this;
-    Tx local_tx = tx;
-    local_tx.origin = node_id();  // on arrival, the op is local to this node
-    auto result = tx.origin_cm->RemoteCall<Result<R>>(
-        tx.top, *ctx_.cm, std::move(what), [self, local_tx, op = std::move(op)] {
-          sim::SpanGuard span(self->substrate().tracer(), sim::Component::kDataServer,
-                              "server.call");
-          if (self->ctx_.tm->RefusesOps(local_tx.tid)) {
-            return Result<R>(Status::kAborted);
-          }
-          self->Join(local_tx);
-          return op();
-        });
-    if (!result.ok()) {
-      return result.status();
-    }
-    return result.value();
+    return tx.origin_cm->RemoteCall<R>(tx.top, *ctx_.cm, std::move(what),
+                                       Arrived<R>(tx, std::move(op)));
   }
 
   // Asynchronous entry point: like Call, but a remote invocation returns a
@@ -125,7 +110,7 @@ class DataServer : public txn::CommitParticipant {
   // invocation has no network latency to hide and runs synchronously,
   // returning an already-fulfilled future — so callers can use one shape for
   // both. Failure semantics match Call: a dead destination surfaces as
-  // kNodeDown when the future is awaited.
+  // kNodeDown when the future is awaited (Network::AwaitReply).
   template <typename R>
   sim::FuturePtr<Result<R>> AsyncCall(const Tx& tx, std::string what,
                                       std::function<Result<R>()> op) {
@@ -135,57 +120,17 @@ class DataServer : public txn::CommitParticipant {
       return f;
     }
     assert(tx.origin_cm != nullptr && "remote call without an origin CM");
-    DataServer* self = this;
-    Tx local_tx = tx;
-    local_tx.origin = node_id();
-    return tx.origin_cm->AsyncRemoteCall<R>(
-        tx.top, *ctx_.cm, std::move(what), [self, local_tx, op = std::move(op)] {
-          sim::SpanGuard span(self->substrate().tracer(), sim::Component::kDataServer,
-                              "server.call");
-          if (self->ctx_.tm->RefusesOps(local_tx.tid)) {
-            return Result<R>(Status::kAborted);
-          }
-          self->Join(local_tx);
-          return op();
-        });
+    return tx.origin_cm->AsyncRemoteCall<R>(tx.top, *ctx_.cm, std::move(what),
+                                            Arrived<R>(tx, std::move(op)));
   }
 
   // Batch entry point: runs the independent `ops` in this server on behalf
-  // of `tx`. Remote invocations chunk the batch by the CM's coalescing limit
-  // and put every chunk on the wire before awaiting any (so batching
-  // composes with pipelining); local invocations dispatch each op exactly
-  // like separate Calls — coalescing saves messages, never server work.
-  // Results are in op order.
-  template <typename R>
-  std::vector<Result<R>> CallBatch(const Tx& tx, const std::string& what,
-                                   std::vector<std::function<Result<R>()>> ops) {
-    std::vector<Result<R>> out;
-    out.reserve(ops.size());
-    if (tx.origin == node_id()) {
-      for (auto& op : ops) {
-        out.push_back(Call<R>(tx, what, std::move(op)));
-      }
-      return out;
-    }
-    for (auto& f : AsyncCallChunks<R>(tx, what, std::move(ops))) {
-      Result<std::vector<Result<R>>> chunk(Status::kNodeDown);
-      if (f->Await(comm::Network::kDefaultSessionTimeout)) {
-        chunk = std::move(f->value());
-      }
-      if (!chunk.ok()) {
-        out.push_back(chunk.status());
-        continue;
-      }
-      for (auto& r : chunk.value()) {
-        out.push_back(std::move(r));
-      }
-    }
-    return out;
-  }
-
-  // The async half of CallBatch: one future per wire message (coalesced
-  // chunk). Local batches dispatch synchronously into a single ready chunk.
-  // tabs::AsyncOps joins these.
+  // of `tx`, one future per wire message. Remote invocations chunk the batch
+  // by the CM's coalescing limit and put every chunk on the wire before any
+  // is awaited (so batching composes with pipelining); local invocations
+  // dispatch each op exactly like separate Calls into a single ready chunk —
+  // coalescing saves messages, never server work. Results are in op order.
+  // tabs::AsyncOps and the service handles join these.
   template <typename R>
   std::vector<sim::FuturePtr<Result<std::vector<Result<R>>>>> AsyncCallChunks(
       const Tx& tx, const std::string& what, std::vector<std::function<Result<R>()>> ops) {
@@ -206,25 +151,13 @@ class DataServer : public txn::CommitParticipant {
       return futures;
     }
     assert(tx.origin_cm != nullptr && "remote call without an origin CM");
-    DataServer* self = this;
-    Tx local_tx = tx;
-    local_tx.origin = node_id();
     size_t limit = static_cast<size_t>(tx.origin_cm->op_coalesce_batch());
     for (size_t base = 0; base < ops.size(); base += limit) {
       size_t count = std::min(limit, ops.size() - base);
       std::vector<std::function<Result<R>()>> wire_ops;
       wire_ops.reserve(count);
       for (size_t i = 0; i < count; ++i) {
-        auto op = std::move(ops[base + i]);
-        wire_ops.push_back([self, local_tx, op = std::move(op)] {
-          sim::SpanGuard span(self->substrate().tracer(), sim::Component::kDataServer,
-                              "server.call");
-          if (self->ctx_.tm->RefusesOps(local_tx.tid)) {
-            return Result<R>(Status::kAborted);
-          }
-          self->Join(local_tx);
-          return op();
-        });
+        wire_ops.push_back(Arrived<R>(tx, std::move(ops[base + i])));
       }
       futures.push_back(tx.origin_cm->AsyncRemoteCallBatch<R>(
           tx.top, *ctx_.cm, what, std::move(wire_ops)));
@@ -303,6 +236,23 @@ class DataServer : public txn::CommitParticipant {
   void OnAbortSettled(const TransactionId& tid) override;
 
  protected:
+  // The remote side of every remote entry point: what runs on this server's
+  // node when `op` arrives on behalf of `tx`. The op is local there; a
+  // transaction a cascade already consumed is refused as a zombie.
+  template <typename R>
+  std::function<Result<R>()> Arrived(const Tx& tx, std::function<Result<R>()> op) {
+    Tx local_tx = tx;
+    local_tx.origin = node_id();
+    return [this, local_tx, op = std::move(op)]() -> Result<R> {
+      sim::SpanGuard span(substrate().tracer(), sim::Component::kDataServer, "server.call");
+      if (ctx_.tm->RefusesOps(local_tx.tid)) {
+        return Status::kAborted;
+      }
+      Join(local_tx);
+      return op();
+    };
+  }
+
   void Join(const Tx& tx);
   void MarkUpdated(const TransactionId& tid) { updates_.insert(tid); }
 

@@ -86,7 +86,8 @@ class Application {
 // operation; Join() waits for every one (in issue order, so the caller's
 // clock advances to the latest completion) and returns kOk or the first
 // failure. A future left empty by a destination crash surfaces as kNodeDown
-// after a session timeout, exactly like a blocked synchronous call.
+// after a session timeout: Network::AwaitReply, the wait a blocking call
+// makes too.
 //
 // Join() must be called before the transaction Ends: TABS pipelines only
 // within the pre-commit phase, so every operation's verdict is known before
@@ -100,10 +101,7 @@ class Application::AsyncOps {
   template <typename R>
   void Add(sim::FuturePtr<Result<R>> f) {
     waits_.push_back([f = std::move(f), timeout = timeout_]() -> Status {
-      if (!f->Await(timeout)) {
-        return Status::kNodeDown;  // broken session: the reply never came
-      }
-      return f->value().status();
+      return comm::Network::AwaitReply(f, timeout).status();
     });
   }
 
@@ -112,13 +110,11 @@ class Application::AsyncOps {
   template <typename R>
   void AddBatch(sim::FuturePtr<Result<std::vector<Result<R>>>> f) {
     waits_.push_back([f = std::move(f), timeout = timeout_]() -> Status {
-      if (!f->Await(timeout)) {
-        return Status::kNodeDown;
+      Result<std::vector<Result<R>>> chunk = comm::Network::AwaitReply(f, timeout);
+      if (!chunk.ok()) {
+        return chunk.status();
       }
-      if (!f->value().ok()) {
-        return f->value().status();
-      }
-      for (const Result<R>& r : f->value().value()) {
+      for (const Result<R>& r : chunk.value()) {
         if (!r.ok()) {
           return r.status();
         }

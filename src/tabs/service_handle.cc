@@ -22,112 +22,34 @@ Status ServiceHandle::EnsureResolved(const server::Tx& tx) {
   return Status::kOk;
 }
 
-namespace {
-
-// Converts a Status-returning attempt into the Result<bool> shape Routed
-// wants, and back.
-Status AsStatus(const Result<bool>& r) { return r.ok() ? Status::kOk : r.status(); }
-
-}  // namespace
-
 // --- ArrayService ---------------------------------------------------------------
 
 Result<std::int32_t> ArrayService::Get(const server::Tx& tx, std::uint64_t index) {
-  return Routed<std::int32_t>(tx, [&](const placement::ShardMap& map) -> Result<std::int32_t> {
-    Result<servers::ArrayServer*> srv = ShardServer<servers::ArrayServer>(map.ShardOfIndex(index));
-    if (!srv.ok()) {
-      return srv.status();
-    }
-    return srv.value()->GetCell(tx, static_cast<std::uint32_t>(map.LocalIndex(index)));
-  });
+  return AtIndex<servers::ArrayServer, Result<std::int32_t>>(
+      tx, index, [&](servers::ArrayServer& s, std::uint32_t cell) { return s.GetCell(tx, cell); });
 }
 
 Status ArrayService::Set(const server::Tx& tx, std::uint64_t index, std::int32_t value) {
-  return AsStatus(Routed<bool>(tx, [&](const placement::ShardMap& map) -> Result<bool> {
-    Result<servers::ArrayServer*> srv = ShardServer<servers::ArrayServer>(map.ShardOfIndex(index));
-    if (!srv.ok()) {
-      return srv.status();
-    }
-    Status s = srv.value()->SetCell(tx, static_cast<std::uint32_t>(map.LocalIndex(index)), value);
-    if (s != Status::kOk) {
-      return s;
-    }
-    return true;
-  }));
+  return AtIndex<servers::ArrayServer, Status>(
+      tx, index,
+      [&](servers::ArrayServer& s, std::uint32_t cell) { return s.SetCell(tx, cell, value); });
 }
 
 Result<std::vector<std::int32_t>> ArrayService::GetMany(
     const server::Tx& tx, const std::vector<std::uint64_t>& indices) {
-  using Chunk = sim::FuturePtr<Result<std::vector<Result<std::int32_t>>>>;
-  return Routed<std::vector<std::int32_t>>(
-      tx, [&](const placement::ShardMap& map) -> Result<std::vector<std::int32_t>> {
-        std::vector<std::vector<std::uint32_t>> locals(map.shard_count());
-        std::vector<std::vector<size_t>> positions(map.shard_count());
-        for (size_t i = 0; i < indices.size(); ++i) {
-          std::uint32_t shard = map.ShardOfIndex(indices[i]);
-          locals[shard].push_back(static_cast<std::uint32_t>(map.LocalIndex(indices[i])));
-          positions[shard].push_back(i);
-        }
-        // Issue every shard's chunks before awaiting any.
-        struct ShardBatch {
-          std::vector<Chunk> chunks;
-          const std::vector<size_t>* pos;
-        };
-        std::vector<ShardBatch> batches;
-        Status failed = Status::kOk;
-        for (std::uint32_t shard = 0; shard < map.shard_count(); ++shard) {
-          if (locals[shard].empty()) {
-            continue;
-          }
-          Result<servers::ArrayServer*> srv = ShardServer<servers::ArrayServer>(shard);
-          if (!srv.ok()) {
-            failed = srv.status();  // still drain what is already on the wire
-            break;
-          }
-          batches.push_back({srv.value()->AsyncGetCells(tx, locals[shard]), &positions[shard]});
-        }
-        // Await in issue order, draining everything even after a failure so
-        // the pipeline window empties (exactly like AsyncOps::Join).
-        std::vector<std::int32_t> out(indices.size());
-        for (ShardBatch& b : batches) {
-          size_t k = 0;
-          for (Chunk& f : b.chunks) {
-            if (!f->Await(timeout_)) {
-              if (failed == Status::kOk) failed = Status::kNodeDown;
-              continue;
-            }
-            const Result<std::vector<Result<std::int32_t>>>& chunk = f->value();
-            if (!chunk.ok()) {
-              if (failed == Status::kOk) failed = chunk.status();
-              continue;
-            }
-            for (const Result<std::int32_t>& r : chunk.value()) {
-              if (r.ok()) {
-                out[(*b.pos)[k]] = r.value();
-              } else if (failed == Status::kOk) {
-                failed = r.status();
-              }
-              ++k;
-            }
-          }
-        }
-        if (failed != Status::kOk) {
-          return failed;
-        }
-        return out;
-      });
-}
-
-Status ArrayService::SetMany(const server::Tx& tx,
-                             const std::vector<std::pair<std::uint64_t, std::int32_t>>& writes) {
-  using Chunk = sim::FuturePtr<Result<std::vector<Result<bool>>>>;
-  return AsStatus(Routed<bool>(tx, [&](const placement::ShardMap& map) -> Result<bool> {
-    std::vector<std::vector<std::pair<std::uint32_t, std::int32_t>>> locals(map.shard_count());
-    for (const auto& [index, value] : writes) {
-      locals[map.ShardOfIndex(index)].push_back(
-          {static_cast<std::uint32_t>(map.LocalIndex(index)), value});
+  using Ret = Result<std::vector<std::int32_t>>;
+  return Routed<Ret>(tx, [&](const placement::ShardMap& map) -> Ret {
+    std::vector<std::vector<std::uint32_t>> locals(map.shard_count());
+    std::vector<std::vector<size_t>> positions(map.shard_count());
+    for (size_t i = 0; i < indices.size(); ++i) {
+      std::uint32_t shard = map.ShardOfIndex(indices[i]);
+      locals[shard].push_back(static_cast<std::uint32_t>(map.LocalIndex(indices[i])));
+      positions[shard].push_back(i);
     }
-    std::vector<Chunk> chunks;
+    // Issue every shard's chunks before awaiting any; `order` maps the k-th
+    // result in issue order back to its argument position.
+    std::vector<sim::FuturePtr<Result<std::vector<Result<std::int32_t>>>>> chunks;
+    std::vector<size_t> order;
     Status failed = Status::kOk;
     for (std::uint32_t shard = 0; shard < map.shard_count(); ++shard) {
       if (locals[shard].empty()) {
@@ -138,149 +60,100 @@ Status ArrayService::SetMany(const server::Tx& tx,
         failed = srv.status();  // still drain what is already on the wire
         break;
       }
-      for (Chunk& c : srv.value()->AsyncSetCells(tx, locals[shard])) {
+      for (auto& c : srv.value()->AsyncGetCells(tx, locals[shard])) {
         chunks.push_back(std::move(c));
       }
+      order.insert(order.end(), positions[shard].begin(), positions[shard].end());
     }
-    for (Chunk& f : chunks) {
-      if (!f->Await(timeout_)) {
-        if (failed == Status::kOk) failed = Status::kNodeDown;
-        continue;
-      }
-      const Result<std::vector<Result<bool>>>& chunk = f->value();
-      if (!chunk.ok()) {
-        if (failed == Status::kOk) failed = chunk.status();
-        continue;
-      }
-      for (const Result<bool>& r : chunk.value()) {
-        if (!r.ok() && failed == Status::kOk) {
-          failed = r.status();
-        }
-      }
-    }
+    std::vector<std::int32_t> out(indices.size());
+    size_t k = 0;
+    failed = AwaitChunks<std::int32_t>(chunks, failed, [&](const Result<std::int32_t>& r) {
+      out[order[k++]] = r.value_or(0);
+    });
     if (failed != Status::kOk) {
       return failed;
     }
-    return true;
-  }));
+    return out;
+  });
+}
+
+Status ArrayService::SetMany(const server::Tx& tx,
+                             const std::vector<std::pair<std::uint64_t, std::int32_t>>& writes) {
+  return Routed<Status>(tx, [&](const placement::ShardMap& map) -> Status {
+    std::vector<std::vector<std::pair<std::uint32_t, std::int32_t>>> locals(map.shard_count());
+    for (const auto& [index, value] : writes) {
+      locals[map.ShardOfIndex(index)].push_back(
+          {static_cast<std::uint32_t>(map.LocalIndex(index)), value});
+    }
+    std::vector<sim::FuturePtr<Result<std::vector<Result<bool>>>>> chunks;
+    Status failed = Status::kOk;
+    for (std::uint32_t shard = 0; shard < map.shard_count(); ++shard) {
+      if (locals[shard].empty()) {
+        continue;
+      }
+      Result<servers::ArrayServer*> srv = ShardServer<servers::ArrayServer>(shard);
+      if (!srv.ok()) {
+        failed = srv.status();  // still drain what is already on the wire
+        break;
+      }
+      for (auto& c : srv.value()->AsyncSetCells(tx, locals[shard])) {
+        chunks.push_back(std::move(c));
+      }
+    }
+    return AwaitChunks<bool>(chunks, failed, [](const Result<bool>&) {});
+  });
 }
 
 // --- AccountService -------------------------------------------------------------
 
 Status AccountService::Deposit(const server::Tx& tx, std::uint64_t account,
                                std::int64_t amount) {
-  return AsStatus(Routed<bool>(tx, [&](const placement::ShardMap& map) -> Result<bool> {
-    Result<servers::AccountServer*> srv =
-        ShardServer<servers::AccountServer>(map.ShardOfIndex(account));
-    if (!srv.ok()) {
-      return srv.status();
-    }
-    Status s = srv.value()->Deposit(tx, static_cast<std::uint32_t>(map.LocalIndex(account)),
-                                    amount);
-    if (s != Status::kOk) {
-      return s;
-    }
-    return true;
-  }));
+  return AtIndex<servers::AccountServer, Status>(
+      tx, account,
+      [&](servers::AccountServer& s, std::uint32_t a) { return s.Deposit(tx, a, amount); });
 }
 
 Status AccountService::Withdraw(const server::Tx& tx, std::uint64_t account,
                                 std::int64_t amount) {
-  return AsStatus(Routed<bool>(tx, [&](const placement::ShardMap& map) -> Result<bool> {
-    Result<servers::AccountServer*> srv =
-        ShardServer<servers::AccountServer>(map.ShardOfIndex(account));
-    if (!srv.ok()) {
-      return srv.status();
-    }
-    Status s = srv.value()->Withdraw(tx, static_cast<std::uint32_t>(map.LocalIndex(account)),
-                                     amount);
-    if (s != Status::kOk) {
-      return s;
-    }
-    return true;
-  }));
+  return AtIndex<servers::AccountServer, Status>(
+      tx, account,
+      [&](servers::AccountServer& s, std::uint32_t a) { return s.Withdraw(tx, a, amount); });
 }
 
 Result<std::int64_t> AccountService::Balance(const server::Tx& tx, std::uint64_t account) {
-  return Routed<std::int64_t>(tx, [&](const placement::ShardMap& map) -> Result<std::int64_t> {
-    Result<servers::AccountServer*> srv =
-        ShardServer<servers::AccountServer>(map.ShardOfIndex(account));
-    if (!srv.ok()) {
-      return srv.status();
-    }
-    return srv.value()->ReadBalance(tx, static_cast<std::uint32_t>(map.LocalIndex(account)));
-  });
+  return AtIndex<servers::AccountServer, Result<std::int64_t>>(
+      tx, account,
+      [&](servers::AccountServer& s, std::uint32_t a) { return s.ReadBalance(tx, a); });
 }
 
 // --- BTreeService ---------------------------------------------------------------
 
 Status BTreeService::Insert(const server::Tx& tx, const std::string& key,
                             const std::string& value) {
-  return AsStatus(Routed<bool>(tx, [&](const placement::ShardMap& map) -> Result<bool> {
-    Result<servers::BTreeServer*> srv = ShardServer<servers::BTreeServer>(map.ShardOfKey(key));
-    if (!srv.ok()) {
-      return srv.status();
-    }
-    Status s = srv.value()->Insert(tx, key, value);
-    if (s != Status::kOk) {
-      return s;
-    }
-    return true;
-  }));
+  return AtKey<servers::BTreeServer, Status>(
+      tx, key, [&](servers::BTreeServer& s) { return s.Insert(tx, key, value); });
 }
 
 Status BTreeService::Update(const server::Tx& tx, const std::string& key,
                             const std::string& value) {
-  return AsStatus(Routed<bool>(tx, [&](const placement::ShardMap& map) -> Result<bool> {
-    Result<servers::BTreeServer*> srv = ShardServer<servers::BTreeServer>(map.ShardOfKey(key));
-    if (!srv.ok()) {
-      return srv.status();
-    }
-    Status s = srv.value()->Update(tx, key, value);
-    if (s != Status::kOk) {
-      return s;
-    }
-    return true;
-  }));
+  return AtKey<servers::BTreeServer, Status>(
+      tx, key, [&](servers::BTreeServer& s) { return s.Update(tx, key, value); });
 }
 
 Status BTreeService::Upsert(const server::Tx& tx, const std::string& key,
                             const std::string& value) {
-  return AsStatus(Routed<bool>(tx, [&](const placement::ShardMap& map) -> Result<bool> {
-    Result<servers::BTreeServer*> srv = ShardServer<servers::BTreeServer>(map.ShardOfKey(key));
-    if (!srv.ok()) {
-      return srv.status();
-    }
-    Status s = srv.value()->Upsert(tx, key, value);
-    if (s != Status::kOk) {
-      return s;
-    }
-    return true;
-  }));
+  return AtKey<servers::BTreeServer, Status>(
+      tx, key, [&](servers::BTreeServer& s) { return s.Upsert(tx, key, value); });
 }
 
 Status BTreeService::Remove(const server::Tx& tx, const std::string& key) {
-  return AsStatus(Routed<bool>(tx, [&](const placement::ShardMap& map) -> Result<bool> {
-    Result<servers::BTreeServer*> srv = ShardServer<servers::BTreeServer>(map.ShardOfKey(key));
-    if (!srv.ok()) {
-      return srv.status();
-    }
-    Status s = srv.value()->Remove(tx, key);
-    if (s != Status::kOk) {
-      return s;
-    }
-    return true;
-  }));
+  return AtKey<servers::BTreeServer, Status>(
+      tx, key, [&](servers::BTreeServer& s) { return s.Remove(tx, key); });
 }
 
 Result<std::string> BTreeService::Lookup(const server::Tx& tx, const std::string& key) {
-  return Routed<std::string>(tx, [&](const placement::ShardMap& map) -> Result<std::string> {
-    Result<servers::BTreeServer*> srv = ShardServer<servers::BTreeServer>(map.ShardOfKey(key));
-    if (!srv.ok()) {
-      return srv.status();
-    }
-    return srv.value()->Lookup(tx, key);
-  });
+  return AtKey<servers::BTreeServer, Result<std::string>>(
+      tx, key, [&](servers::BTreeServer& s) { return s.Lookup(tx, key); });
 }
 
 // --- open functions -------------------------------------------------------------

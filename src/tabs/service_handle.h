@@ -81,20 +81,27 @@ class ServiceHandle {
     return s;
   }
 
+  static Status StatusOf(Status s) { return s; }
+  template <typename T>
+  static Status StatusOf(const Result<T>& r) {
+    return r.status();
+  }
+
   // Runs `attempt` against the resolved map. On kNodeDown the cached
   // resolution is refreshed with one new broadcast and the attempt retried —
   // the heal path for a cache gone stale across crash/recovery. If the fresh
   // lookup comes back incomplete (the shard's node is genuinely down), the
   // old map is kept: operations on live shards keep working, operations on
   // the dead shard keep failing fast on the liveness check.
-  template <typename R, typename Fn>
-  Result<R> Routed(const server::Tx& tx, Fn&& attempt) {
+  // `Ret` is Status or a Result<T>.
+  template <typename Ret, typename Fn>
+  Ret Routed(const server::Tx& tx, Fn&& attempt) {
     Status s = EnsureResolved(tx);
     if (s != Status::kOk) {
       return s;
     }
-    Result<R> r = attempt(*map_);
-    if (r.ok() || r.status() != Status::kNodeDown) {
+    Ret r = attempt(*map_);
+    if (StatusOf(r) != Status::kNodeDown) {
       return r;
     }
     resolver_.Invalidate(service_);  // stale? force a fresh broadcast
@@ -108,6 +115,53 @@ class ServiceHandle {
       }
     }
     return attempt(*map_);
+  }
+
+  // One operation routed to the live `T` behind the shard that owns logical
+  // `index`: `op(server, local_index)`.
+  template <typename T, typename Ret, typename Op>
+  Ret AtIndex(const server::Tx& tx, std::uint64_t index, Op&& op) {
+    return Routed<Ret>(tx, [&](const placement::ShardMap& map) -> Ret {
+      Result<T*> srv = ShardServer<T>(map.ShardOfIndex(index));
+      if (!srv.ok()) {
+        return srv.status();
+      }
+      return op(*srv.value(), static_cast<std::uint32_t>(map.LocalIndex(index)));
+    });
+  }
+
+  // One operation routed to the live `T` behind the shard that owns `key`
+  // (keys travel unchanged): `op(server)`.
+  template <typename T, typename Ret, typename Op>
+  Ret AtKey(const server::Tx& tx, const std::string& key, Op&& op) {
+    return Routed<Ret>(tx, [&](const placement::ShardMap& map) -> Ret {
+      Result<T*> srv = ShardServer<T>(map.ShardOfKey(key));
+      if (!srv.ok()) {
+        return srv.status();
+      }
+      return op(*srv.value());
+    });
+  }
+
+  // Awaits coalesced chunks in issue order — every one, even after a
+  // failure, so the pipeline window drains (exactly like AsyncOps::Join) —
+  // and hands each operation's result to `each`. Returns `failed`, else the
+  // first session or operation failure.
+  template <typename R, typename Each>
+  Status AwaitChunks(std::vector<sim::FuturePtr<Result<std::vector<Result<R>>>>>& chunks,
+                     Status failed, Each&& each) {
+    for (auto& f : chunks) {
+      Result<std::vector<Result<R>>> chunk = comm::Network::AwaitReply(f, timeout_);
+      if (!chunk.ok()) {
+        failed = failed == Status::kOk ? chunk.status() : failed;
+        continue;
+      }
+      for (Result<R>& r : chunk.value()) {
+        failed = failed == Status::kOk ? r.status() : failed;
+        each(r);
+      }
+    }
+    return failed;
   }
 
   World* world_;

@@ -387,7 +387,15 @@ void TransactionManager::PostRecovery(
     const recovery::RecoveryStats& stats,
     const std::map<std::string, CommitParticipant*>& participants) {
   for (const TransactionId& tid : stats.in_doubt) {
-    in_doubt_.insert(tid);
+    // A server recovered on a live node can find a transaction that is still
+    // prepared in a live Txn here. That Txn owns the verdict: the recovered
+    // server joins it, so one apply (HandleCommit / HandleAbortMsg) finishes
+    // the transaction at every server. Only a transaction with no live Txn
+    // is resolved through the recovered-outcome path.
+    Txn* live = Find(tid);
+    if (live == nullptr) {
+      in_doubt_.insert(tid);
+    }
     // Rebuild lock state: every object the in-doubt transaction updated
     // stays inaccessible until the coordinator's verdict arrives.
     for (Lsn lsn : rm_.UndoListOf(tid)) {
@@ -396,8 +404,14 @@ void TransactionManager::PostRecovery(
         continue;
       }
       auto it = participants.find(rec->server);
-      if (it != participants.end()) {
-        it->second->RelockForRecovery(tid, *rec);
+      if (it == participants.end()) {
+        continue;
+      }
+      it->second->RelockForRecovery(tid, *rec);
+      if (live != nullptr &&
+          std::find(live->servers.begin(), live->servers.end(), it->second) ==
+              live->servers.end()) {
+        live->servers.push_back(it->second);
       }
     }
   }

@@ -198,7 +198,10 @@ class TransactionManager : public comm::TransactionTreeListener,
   recovery::TxnOutcome OutcomeOf(const TransactionId& top) override;
 
   // After RecoveryManager::Recover: re-locks in-doubt transactions' objects
-  // through the named participants and remembers them for resolution.
+  // through the named participants and remembers them for resolution. A
+  // transaction still prepared in a live Txn (single-server recovery on a
+  // live node) takes the participants into that Txn instead, so its verdict
+  // releases every server it touched.
   void PostRecovery(const recovery::RecoveryStats& stats,
                     const std::map<std::string, CommitParticipant*>& participants);
   // Crash recovery only (not single-server repair, not first boot): moves

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "src/comm/network.h"
@@ -83,6 +84,80 @@ TEST_F(NetworkTest, SessionDetectsCrashMidCall) {
   });
   EXPECT_EQ(sched_.Run(), 0);
   EXPECT_EQ(status, Status::kNodeDown);  // session timeout detected the crash
+}
+
+// SessionCall is AsyncSessionCall awaited: for the same handler the two
+// entry points must leave the caller at the same clock, charge the same
+// inter-node calls and return the same flat Result, whether the call
+// succeeds, the remote operation fails, the peer is unreachable, the session
+// is dropped, or the destination crashes mid-call.
+TEST_F(NetworkTest, BlockingAndAsyncSessionCallsBehaveIdentically) {
+  constexpr SimTime kTimeout = 1'000'000;
+  const SimTime call = CostModel::Baseline().Of(Primitive::kInterNodeDataServerCall);
+  struct Case {
+    const char* name;
+    std::function<void()> arrange;
+    std::function<Result<int>()> handler;
+    Status status;
+    int value;
+    SimTime elapsed;
+    int drops;
+  };
+  const std::vector<Case> cases = {
+      {"reply", [] {}, [] { return 42; }, Status::kOk, 42, call, 0},
+      {"failed-op", [] {}, []() -> Result<int> { return Status::kConflict; }, Status::kConflict,
+       -1, call, 0},
+      {"unreachable", [this] { net_.SetPartitioned(1, 2, true); }, [] { return 1; },
+       Status::kNodeDown, -1, call, 0},
+      {"session-drop", [this] { net_.SetSessionLoss([](NodeId, NodeId to) { return to == 2; }); },
+       [] { return 1; }, Status::kNodeDown, -1, call, 1},
+      {"crash-mid-call", [] {},
+       [this]() -> Result<int> {
+         net_.SetAlive(2, false);  // the destination dies while handling
+         sched_.KillWhere([](const sim::Task& t) { return t.node == 2; });
+         return 1;  // unreachable
+       },
+       Status::kNodeDown, -1, call / 2 + kTimeout, 0},
+  };
+  struct Outcome {
+    Result<int> result = Status::kInternal;
+    SimTime elapsed = -1;
+    double calls = 0;
+    double drops = 0;
+  };
+  auto run = [&](const Case& c, bool blocking) {
+    net_.SetAlive(2, true);
+    net_.SetPartitioned(1, 2, false);
+    net_.SetSessionLoss({});
+    c.arrange();
+    sim::Metrics& m = substrate_.metrics();
+    const double calls = m.Total().Of(Primitive::kInterNodeDataServerCall);
+    const double drops = m.faults_injected(sim::FaultKind::kSessionDrop);
+    Outcome out;
+    sched_.Spawn("caller", 1, 0, [&] {
+      SimTime t0 = sched_.Now();
+      out.result = blocking ? net_.SessionCall<int>(1, 2, "f", c.handler, kTimeout)
+                            : Network::AwaitReply(
+                                  net_.AsyncSessionCall<int>(1, 2, "f", c.handler), kTimeout);
+      out.elapsed = sched_.Now() - t0;
+    });
+    EXPECT_EQ(sched_.Run(), 0);
+    out.calls = m.Total().Of(Primitive::kInterNodeDataServerCall) - calls;
+    out.drops = m.faults_injected(sim::FaultKind::kSessionDrop) - drops;
+    return out;
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    for (bool blocking : {true, false}) {
+      SCOPED_TRACE(blocking ? "SessionCall" : "AsyncSessionCall + AwaitReply");
+      Outcome out = run(c, blocking);
+      EXPECT_EQ(out.result.status(), c.status);
+      EXPECT_EQ(out.result.value_or(-1), c.value);
+      EXPECT_EQ(out.elapsed, c.elapsed);
+      EXPECT_EQ(out.calls, 1);
+      EXPECT_EQ(out.drops, c.drops);
+    }
+  }
 }
 
 TEST_F(NetworkTest, DatagramDeliveredOneWay) {

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
@@ -257,45 +258,120 @@ TEST(PlacementTest, CrossShardTransferIsAtomic) {
   });
 }
 
+// Every routing helper heals: AccountService and ArrayService route through
+// AtIndex, BTreeService through AtKey. Each runs over three shards on nodes
+// 1-3; item i lives on shard i % 3, so item 1 is on node 2, which crashes.
+struct HealCase {
+  const char* name;
+  std::function<void(World&)> add;
+  // The same handle serves every step: `seed` writes item i before the
+  // crash, `update` writes it again, `check` reads item i back after one
+  // seed and one update.
+  struct Steps {
+    std::function<Status(const server::Tx&, std::uint64_t)> seed;
+    std::function<Status(const server::Tx&, std::uint64_t)> update;
+    std::function<void(const server::Tx&, std::uint64_t)> check;
+  };
+  std::function<Steps(World&)> open;
+};
+
+constexpr std::uint64_t kHealItems = 6;
+
+// Key j of the B-tree case: a key owned by shard j % 3, distinct per j.
+std::string HealKey(std::uint64_t j) {
+  std::vector<std::vector<std::string>> by_shard(3);
+  for (int n = 0; by_shard[j % 3].size() <= j / 3; ++n) {
+    std::string key = "key-" + std::to_string(n);
+    by_shard[placement::ShardMap::HashKey(key) % 3].push_back(key);
+  }
+  return by_shard[j % 3][j / 3];
+}
+
+std::vector<HealCase> HealCases() {
+  return {
+      {"AccountService",
+       [](World& w) {
+         w.AddShardedServiceOf<AccountServer>("svc", {1, 2, 3}, 3, kHealItems);
+       },
+       [](World& w) {
+         auto bank = std::make_shared<AccountService>(OpenAccounts(w, "svc"));
+         return HealCase::Steps{
+             [bank](const server::Tx& tx, std::uint64_t i) { return bank->Deposit(tx, i, 100); },
+             [bank](const server::Tx& tx, std::uint64_t i) { return bank->Withdraw(tx, i, 10); },
+             [bank](const server::Tx& tx, std::uint64_t i) {
+               EXPECT_EQ(bank->Balance(tx, i).value_or(-1), 90);
+             }};
+       }},
+      {"ArrayService",
+       [](World& w) { w.AddShardedServiceOf<ArrayServer>("svc", {1, 2, 3}, 3, kHealItems); },
+       [](World& w) {
+         auto cells = std::make_shared<ArrayService>(OpenArray(w, "svc"));
+         return HealCase::Steps{
+             [cells](const server::Tx& tx, std::uint64_t i) { return cells->Set(tx, i, 100); },
+             [cells](const server::Tx& tx, std::uint64_t i) { return cells->Set(tx, i, 90); },
+             [cells](const server::Tx& tx, std::uint64_t i) {
+               EXPECT_EQ(cells->Get(tx, i).value_or(-1), 90);
+             }};
+       }},
+      {"BTreeService",
+       [](World& w) { w.AddShardedServiceOf<BTreeServer>("svc", {1, 2, 3}, 3); },
+       [](World& w) {
+         // The update inserts a second key on the item's shard, so both
+         // writes go through Insert.
+         auto kv = std::make_shared<BTreeService>(OpenBTree(w, "svc"));
+         return HealCase::Steps{
+             [kv](const server::Tx& tx, std::uint64_t i) {
+               return kv->Insert(tx, HealKey(i), "seed");
+             },
+             [kv](const server::Tx& tx, std::uint64_t i) {
+               return kv->Insert(tx, HealKey(i + kHealItems), "update");
+             },
+             [kv](const server::Tx& tx, std::uint64_t i) {
+               EXPECT_EQ(kv->Lookup(tx, HealKey(i)).value_or(""), "seed");
+               EXPECT_EQ(kv->Lookup(tx, HealKey(i + kHealItems)).value_or(""), "update");
+             }};
+       }},
+  };
+}
+
 TEST(PlacementTest, HandleHealsAcrossShardCrashAndRecovery) {
-  World world(3);
-  constexpr std::uint64_t kAccounts = 6;
-  world.AddShardedServiceOf<AccountServer>("accounts", {1, 2, 3}, 3, kAccounts);
-
-  world.RunApp(1, [&](Application& app) {
-    AccountService bank = OpenAccounts(world, "accounts");
-    ASSERT_EQ(app.Transaction([&](const server::Tx& tx) {
-                for (std::uint64_t a = 0; a < kAccounts; ++a) {
-                  Status s = bank.Deposit(tx, a, 100);
-                  if (s != Status::kOk) {
-                    return s;
+  for (const HealCase& c : HealCases()) {
+    SCOPED_TRACE(c.name);
+    World world(3);
+    c.add(world);
+    world.RunApp(1, [&](Application& app) {
+      HealCase::Steps steps = c.open(world);
+      ASSERT_EQ(app.Transaction([&](const server::Tx& tx) {
+                  for (std::uint64_t i = 0; i < kHealItems; ++i) {
+                    Status s = steps.seed(tx, i);
+                    if (s != Status::kOk) {
+                      return s;
+                    }
                   }
-                }
-                return Status::kOk;
-              }),
-              Status::kOk);
+                  return Status::kOk;
+                }),
+                Status::kOk);
 
-    // Shard 1 (node 2) dies. Operations on its accounts fail kNodeDown —
-    // the handle's fresh re-resolution comes back incomplete — while other
-    // shards keep serving.
-    world.CrashNode(2);
-    EXPECT_EQ(app.Transaction([&](const server::Tx& tx) { return bank.Withdraw(tx, 1, 10); }),
-              Status::kNodeDown);
-    EXPECT_EQ(app.Transaction([&](const server::Tx& tx) { return bank.Withdraw(tx, 0, 10); }),
-              Status::kOk);
+      // Shard 1 (node 2) dies. Operations on its items fail kNodeDown —
+      // the handle's fresh re-resolution comes back incomplete — while
+      // other shards keep serving.
+      world.CrashNode(2);
+      EXPECT_EQ(app.Transaction([&](const server::Tx& tx) { return steps.update(tx, 1); }),
+                Status::kNodeDown);
+      EXPECT_EQ(app.Transaction([&](const server::Tx& tx) { return steps.update(tx, 0); }),
+                Status::kOk);
 
-    // Recovery re-registers the shard's binding; the *same* handle heals on
-    // the next operation and the shard's committed state is intact.
-    world.RecoverNode(2);
-    EXPECT_EQ(app.Transaction([&](const server::Tx& tx) { return bank.Withdraw(tx, 1, 10); }),
-              Status::kOk);
-    app.Transaction([&](const server::Tx& tx) {
-      auto b = bank.Balance(tx, 1);
-      EXPECT_TRUE(b.ok());
-      EXPECT_EQ(b.value(), 90);
-      return Status::kOk;
+      // Recovery re-registers the shard's binding; the *same* handle heals
+      // on the next operation and the shard's committed state is intact.
+      world.RecoverNode(2);
+      EXPECT_EQ(app.Transaction([&](const server::Tx& tx) { return steps.update(tx, 1); }),
+                Status::kOk);
+      app.Transaction([&](const server::Tx& tx) {
+        steps.check(tx, 1);
+        return Status::kOk;
+      });
     });
-  });
+  }
 }
 
 // --- crash-point exploration over the shard fan-out windows ---------------------

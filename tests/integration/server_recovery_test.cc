@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "src/servers/array_server.h"
 #include "src/tabs/world.h"
 
@@ -130,6 +134,52 @@ TEST_F(ServerRecoveryTest, ServerRecoveryScansOnlyItsOwnRecordsIntoSegment) {
     });
     EXPECT_GT(stats.records_scanned, 0);
   });
+}
+
+// A server recovered on a live node while a transaction it joined is still
+// prepared there. The transaction also touched another server on that node,
+// and its verdict never arrived (every commit datagram, and under Paxos
+// Commit every learn, out of the coordinator is lost). Resolving the
+// transaction must finish it at both servers: nothing stays in doubt and
+// neither server keeps the transaction's locks.
+TEST(ServerRecoveryOnLiveNodeTest, ResolvedVerdictFinishesEveryServerOfTheTxn) {
+  World world(2);
+  auto* a1 = world.AddServerOf<ArrayServer>(1, "a1", 4u);
+  auto* x = world.AddServerOf<ArrayServer>(2, "x", 4u);
+  auto* y = world.AddServerOf<ArrayServer>(2, "y", 4u);
+  world.network().SetDatagramLossTagged([](NodeId from, NodeId, const std::string& what) {
+    return from == 1 && (what == "2pc-commit" || what == "paxos-learn");
+  });
+  TransactionId tid;
+  world.RunApp(1, [&](Application& app) {
+    tid = app.Begin();
+    server::Tx tx = app.MakeTx(tid);
+    ASSERT_EQ(a1->SetCell(tx, 0, 1), Status::kOk);
+    ASSERT_EQ(x->SetCell(tx, 0, 2), Status::kOk);
+    ASSERT_EQ(y->SetCell(tx, 0, 3), Status::kOk);
+    ASSERT_EQ(app.End(tid), Status::kOk);  // the coordinator decided commit
+  });
+  world.network().SetDatagramLossTagged({});
+  ASSERT_EQ(world.tm(2).InDoubt(), std::vector<TransactionId>{tid});
+
+  world.RunApp(2, [&](Application& app) {
+    world.CrashServer(2, "x");
+    world.RecoverServer(2, "x");
+    x = world.Server<ArrayServer>(2, "x");
+    EXPECT_EQ(world.tm(2).ResolveInDoubt(tid), Status::kOk);
+    EXPECT_TRUE(world.tm(2).InDoubt().empty());
+    EXPECT_EQ(world.tm(2).StateOf(tid), txn::TxnState::kCommitted);
+    app.Transaction([&](const server::Tx& tx) {
+      Result<std::int32_t> xv = x->GetCell(tx, 0);
+      Result<std::int32_t> yv = y->GetCell(tx, 0);
+      EXPECT_EQ(xv.status(), Status::kOk);
+      EXPECT_EQ(yv.status(), Status::kOk);  // y's locks were released too
+      EXPECT_EQ(xv.value_or(-1), 2);
+      EXPECT_EQ(yv.value_or(-1), 3);
+      return Status::kOk;
+    });
+  });
+  EXPECT_EQ(world.Drain(), 0);
 }
 
 }  // namespace
