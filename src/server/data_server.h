@@ -238,12 +238,18 @@ class DataServer : public txn::CommitParticipant {
  protected:
   // The remote side of every remote entry point: what runs on this server's
   // node when `op` arrives on behalf of `tx`. The op is local there; a
-  // transaction a cascade already consumed is refused as a zombie.
+  // transaction a cascade already consumed is refused as a zombie. A server
+  // that crashed (World::CrashServer) while the op was on the wire is gone:
+  // the op reports kNodeDown without touching it.
   template <typename R>
   std::function<Result<R>()> Arrived(const Tx& tx, std::function<Result<R>()> op) {
     Tx local_tx = tx;
     local_tx.origin = node_id();
-    return [this, local_tx, op = std::move(op)]() -> Result<R> {
+    return [this, alive = std::weak_ptr<const bool>(alive_), local_tx,
+            op = std::move(op)]() -> Result<R> {
+      if (alive.expired()) {
+        return Status::kNodeDown;
+      }
       sim::SpanGuard span(substrate().tracer(), sim::Component::kDataServer, "server.call");
       if (ctx_.tm->RefusesOps(local_tx.tid)) {
         return Status::kAborted;
@@ -271,6 +277,8 @@ class DataServer : public txn::CommitParticipant {
   std::map<TransactionId, std::vector<ObjectId>> marked_;
   std::set<TransactionId> updates_;
   std::map<std::string, OpFn> operations_;
+  // Lives exactly as long as this server: ops in flight hold it weakly.
+  std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
 };
 
 }  // namespace tabs::server

@@ -99,11 +99,6 @@ void TransactionManager::DetachParticipant(const CommitParticipant* server) {
     auto& s = txn.servers;
     s.erase(std::remove(s.begin(), s.end(), server), s.end());
   }
-  for (auto& [name, participant] : recovered_participants_) {
-    if (participant == server) {
-      participant = nullptr;
-    }
-  }
 }
 
 void TransactionManager::OnRemoteChildJoined(const TransactionId& tid, NodeId child) {
@@ -387,14 +382,16 @@ void TransactionManager::PostRecovery(
     const recovery::RecoveryStats& stats,
     const std::map<std::string, CommitParticipant*>& participants) {
   for (const TransactionId& tid : stats.in_doubt) {
-    // A server recovered on a live node can find a transaction that is still
-    // prepared in a live Txn here. That Txn owns the verdict: the recovered
-    // server joins it, so one apply (HandleCommit / HandleAbortMsg) finishes
-    // the transaction at every server. Only a transaction with no live Txn
-    // is resolved through the recovered-outcome path.
-    Txn* live = Find(tid);
-    if (live == nullptr) {
-      in_doubt_.insert(tid);
+    // After a node crash the transaction is rebuilt, prepared, from its
+    // replayed prepare record. A server recovered on a live node can find it
+    // still held by a live Txn, which the recovered server joins.
+    Txn* txn = Find(tid);
+    if (txn == nullptr) {
+      const PrepareRecord& prepared = logged_prepares_.at(tid);
+      txn = &GetOrCreateRemote(tid, prepared.parent_node);
+      txn->state = TxnState::kPrepared;
+      txn->siblings = prepared.siblings;
+      txn->acceptors = prepared.acceptors;
     }
     // Rebuild lock state: every object the in-doubt transaction updated
     // stays inaccessible until the coordinator's verdict arrives.
@@ -408,15 +405,11 @@ void TransactionManager::PostRecovery(
         continue;
       }
       it->second->RelockForRecovery(tid, *rec);
-      if (live != nullptr &&
-          std::find(live->servers.begin(), live->servers.end(), it->second) ==
-              live->servers.end()) {
-        live->servers.push_back(it->second);
+      if (std::find(txn->servers.begin(), txn->servers.end(), it->second) ==
+          txn->servers.end()) {
+        txn->servers.push_back(it->second);
       }
     }
-  }
-  for (const auto& [name, participant] : participants) {
-    recovered_participants_[name] = participant;
   }
   for (const TransactionId& loser : stats.losers) {
     logged_outcomes_[loser] = TxnOutcome::kAborted;
@@ -450,15 +443,13 @@ void TransactionManager::AbortRemoteOrphansOf(NodeId dead) {
 }
 
 std::vector<TransactionId> TransactionManager::InDoubt() const {
-  std::set<TransactionId> all = in_doubt_;
-  // Live prepared transactions whose verdict datagram was lost are equally
-  // in doubt: they hold locks until they re-query the coordinator.
+  std::vector<TransactionId> out;
   for (const auto& [tid, txn] : txns_) {
     if (txn.state == TxnState::kPrepared) {
-      all.insert(tid);
+      out.push_back(tid);
     }
   }
-  return {all.begin(), all.end()};
+  return out;
 }
 
 Status TransactionManager::ResolveInDoubt(const TransactionId& tid) {
@@ -480,29 +471,21 @@ Status TransactionManager::ResolveInDoubt(const TransactionId& tid) {
   // two-phase commit has.
   const std::vector<NodeId>& siblings = prepared->siblings;
 
+  // The parent's kUnknown is presumed abort; a sibling's is no answer.
+  // kUndecided (the asked node is in doubt itself) is no answer from either.
   auto ask = [&](NodeId node, bool authoritative, bool* committed) -> bool {
     TransactionManager* tm = Peer(node);
     if (tm == nullptr || !cm_.network().Reachable(node_.id(), node)) {
       return false;
     }
-    if (authoritative) {
-      auto verdict = cm_.network().SessionCall<bool>(
-          node_.id(), node, "resolve-in-doubt",
-          [tm, tid]() { return tm->QueryCommitted(tid); });
-      if (!verdict.ok()) {
-        return false;
-      }
-      *committed = verdict.value();
-      return true;
-    }
-    // A sibling only helps if it KNOWS (it may be in doubt itself).
-    auto verdict = cm_.network().SessionCall<int>(
-        node_.id(), node, "cooperative-termination",
-        [tm, tid]() { return tm->ParticipantKnowledge(tid); });
-    if (!verdict.ok() || verdict.value() == 0) {
+    auto known = cm_.network().SessionCall<TxnKnowledge>(
+        node_.id(), node, authoritative ? "resolve-in-doubt" : "cooperative-termination",
+        [tm, tid]() { return tm->KnowledgeOf(tid); });
+    if (!known.ok() || known.value() == TxnKnowledge::kUndecided ||
+        (known.value() == TxnKnowledge::kUnknown && !authoritative)) {
       return false;
     }
-    *committed = verdict.value() > 0;
+    *committed = known.value() == TxnKnowledge::kCommitted;
     return true;
   };
 
@@ -543,72 +526,33 @@ Status TransactionManager::ResolveInDoubt(const TransactionId& tid) {
 
 std::optional<TransactionManager::PrepareRecord> TransactionManager::PreparedRecordOf(
     const TransactionId& tid) const {
-  if (in_doubt_.contains(tid)) {
-    return logged_prepares_.at(tid);
-  }
-  const Txn* live = Find(tid);
-  if (live == nullptr || live->state != TxnState::kPrepared) {
+  const Txn* txn = Find(tid);
+  if (txn == nullptr || txn->state != TxnState::kPrepared) {
     return std::nullopt;
   }
-  return PrepareRecord{live->parent_node, live->siblings, live->acceptors};
+  return PrepareRecord{txn->parent_node, txn->siblings, txn->acceptors};
 }
 
 void TransactionManager::ApplyVerdict(const TransactionId& tid, bool committed) {
-  if (in_doubt_.contains(tid)) {
-    ApplyRecoveredOutcome(tid, committed);
-  } else if (committed) {
+  if (committed) {
     HandleCommit(tid);
   } else {
     HandleAbortMsg(tid);
   }
 }
 
-void TransactionManager::ApplyRecoveredOutcome(const TransactionId& tid, bool committed) {
-  in_doubt_.erase(tid);
-  if (committed) {
-    logged_outcomes_[tid] = TxnOutcome::kCommitted;
-    LogRecord rec;
-    rec.type = RecordType::kTxnCommit;
-    rec.owner = tid;
-    rec.top = tid;
-    rm_.log().Append(std::move(rec));
-    rm_.log().ForceAll();
-    rm_.ForgetTransaction(tid);
-    for (auto& [name, participant] : recovered_participants_) {
-      if (participant != nullptr) {
-        participant->OnCommit(tid);
-      }
-    }
-    return;
-  }
-  logged_outcomes_[tid] = TxnOutcome::kAborted;
-  rm_.UndoTransaction(tid, tid);
-  for (auto& [name, participant] : recovered_participants_) {
-    if (participant != nullptr) {
-      participant->OnAbort(tid);
-    }
-  }
-  LogRecord rec;
-  rec.type = RecordType::kTxnAbort;
-  rec.owner = tid;
-  rec.top = tid;
-  rm_.log().Append(std::move(rec));
-  rm_.log().ForceAll();
-  rm_.ForgetTransaction(tid);
-}
-
-int TransactionManager::ParticipantKnowledge(const TransactionId& tid) {
+TxnKnowledge TransactionManager::KnowledgeOf(const TransactionId& tid) const {
   if (Find(tid) == nullptr && !logged_outcomes_.contains(tid)) {
-    return 0;  // never heard of it: no knowledge either way (it might have
-               // been read-only here and forgotten — do not presume)
+    return TxnKnowledge::kUnknown;  // it might have been read-only here and
+                                    // forgotten: only the parent may presume
   }
   switch (StateOf(tid)) {
     case TxnState::kCommitted:
-      return 1;
+      return TxnKnowledge::kCommitted;
     case TxnState::kAborted:
-      return -1;
+      return TxnKnowledge::kAborted;
     default:
-      return 0;  // in doubt too
+      return TxnKnowledge::kUndecided;
   }
 }
 

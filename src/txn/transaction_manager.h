@@ -85,6 +85,16 @@ enum class TxnState {
   kAborted,
 };
 
+// What a node can tell another about a transaction's outcome (in-doubt
+// resolution). Each asker reads kUnknown its own way: a child presumes abort
+// from its parent; a sibling's kUnknown is no answer.
+enum class TxnKnowledge {
+  kCommitted,
+  kAborted,
+  kUndecided,  // still active, preparing or prepared here: no verdict yet
+  kUnknown,    // never heard of it, or forgotten
+};
+
 class TransactionManager : public comm::TransactionTreeListener,
                            public recovery::TxnOutcomeSource {
  public:
@@ -168,13 +178,10 @@ class TransactionManager : public comm::TransactionTreeListener,
                           const std::vector<NodeId>& acceptors = {},
                           VoteChannelPtr votes = nullptr);
   void HandleCommit(const TransactionId& tid);
-  // Cooperative termination (Dwork/Skeen): what this participant knows about
-  // `tid` — 1 committed, -1 aborted, 0 no knowledge (possibly in doubt too).
-  int ParticipantKnowledge(const TransactionId& tid);
   void HandleAbortMsg(const TransactionId& tid);
   // --- Paxos Commit participant side (kPaxosCommit mode only) -----------------
   // A decided verdict arriving from a takeover leader: applies commit/abort
-  // to a live prepared transaction or a recovered in-doubt one.
+  // to a transaction prepared here.
   void HandlePaxosVerdict(const TransactionId& tid, bool committed);
   // Dead-coordinator takeover sweep (folded into the orphan-sweep machinery):
   // every prepared transaction whose 2PC parent is `dead` and that has an
@@ -188,19 +195,18 @@ class TransactionManager : public comm::TransactionTreeListener,
                           const TransactionId& top);
   void HandleSubtxnAbort(const TransactionId& child, const TransactionId& top);
   // Remote query for a transaction's outcome (in-doubt resolution after a
-  // coordinator or participant crash). Presumes abort for unknown tids.
-  bool QueryCommitted(const TransactionId& tid) const {
-    return StateOf(tid) == TxnState::kCommitted;
-  }
+  // coordinator or participant crash): asked of a prepared transaction's
+  // parent, and of its siblings for cooperative termination (Dwork/Skeen).
+  TxnKnowledge KnowledgeOf(const TransactionId& tid) const;
 
   // --- crash recovery (TxnOutcomeSource) ---------------------------------------
   void ObserveTxnRecord(const log::LogRecord& rec) override;
   recovery::TxnOutcome OutcomeOf(const TransactionId& top) override;
 
-  // After RecoveryManager::Recover: re-locks in-doubt transactions' objects
-  // through the named participants and remembers them for resolution. A
-  // transaction still prepared in a live Txn (single-server recovery on a
-  // live node) takes the participants into that Txn instead, so its verdict
+  // After RecoveryManager::Recover: every in-doubt transaction becomes a
+  // prepared Txn again, rebuilt from its replayed prepare record (or, for a
+  // single-server recovery on a live node, the Txn that still holds it). The
+  // named participants re-lock its objects and join it, so its verdict
   // releases every server it touched.
   void PostRecovery(const recovery::RecoveryStats& stats,
                     const std::map<std::string, CommitParticipant*>& participants);
@@ -218,8 +224,10 @@ class TransactionManager : public comm::TransactionTreeListener,
   // resolve through ResolveInDoubt.
   void AbortRemoteOrphansOf(NodeId dead);
   // Contacts the in-doubt transaction's parent node for the verdict and
-  // applies it locally. Returns the outcome, or kNodeDown if still unreachable.
+  // applies it locally. Returns the outcome, or kNodeDown while no node asked
+  // knows it (unreachable, or in doubt itself).
   Status ResolveInDoubt(const TransactionId& tid);
+  // The transactions prepared here and awaiting their verdict.
   std::vector<TransactionId> InDoubt() const;
 
   // Active-transaction table for checkpoints.
@@ -250,7 +258,6 @@ class TransactionManager : public comm::TransactionTreeListener,
     TxnState state = TxnState::kActive;
     NodeId parent_node = kInvalidNode;  // 2PC tree parent (kInvalid: rooted here)
     std::vector<CommitParticipant*> servers;
-    Lsn first_lsn = kNullLsn;
     std::set<TransactionId> live_subtxns;
     std::set<NodeId> update_children;  // children that voted yes (not read-only)
     std::vector<NodeId> siblings;      // fellow participants (from the prepare)
@@ -276,17 +283,13 @@ class TransactionManager : public comm::TransactionTreeListener,
 
   Txn* Find(const TransactionId& tid);
   const Txn* Find(const TransactionId& tid) const;
-  // The prepare record of a transaction in doubt here: replayed from the log
-  // for a recovered one (in_doubt_), or the live Txn's for a prepared one.
-  // Empty when `tid` is neither — it was never prepared here, or its verdict
-  // has been applied.
+  // What the prepare record of a transaction prepared here names, copied out
+  // of its Txn. Empty when `tid` is not prepared here — it never was, or its
+  // verdict has been applied.
   std::optional<PrepareRecord> PreparedRecordOf(const TransactionId& tid) const;
-  // Applies a verdict to a transaction in doubt here: through the recovery
-  // path for a recovered one, HandleCommit/HandleAbortMsg for a live one.
+  // Applies a verdict to a transaction in doubt here: HandleCommit or
+  // HandleAbortMsg.
   void ApplyVerdict(const TransactionId& tid, bool committed);
-  // The recovery path: re-log the outcome, redo/undo through the Recovery
-  // Manager, release the recovered participants' locks.
-  void ApplyRecoveredOutcome(const TransactionId& tid, bool committed);
   Txn& GetOrCreateRemote(const TransactionId& tid, NodeId parent_node);
   // The unguarded abort path: sets abort_started and unwinds. Abort() and
   // CascadeAbort() are the guarded entry points.
@@ -399,11 +402,9 @@ class TransactionManager : public comm::TransactionTreeListener,
   // Durable knowledge rebuilt from the log by ObserveTxnRecord, plus
   // outcomes decided since; consulted by StateOf and OutcomeOf.
   std::map<TransactionId, recovery::TxnOutcome> logged_outcomes_;
-  // Prepare records replayed by ObserveTxnRecord (its only writer), read
-  // for the ids in in_doubt_.
+  // Prepare records replayed by ObserveTxnRecord (its only writer), read by
+  // PostRecovery to rebuild each in-doubt transaction's Txn.
   std::map<TransactionId, PrepareRecord> logged_prepares_;
-  std::set<TransactionId> in_doubt_;
-  std::map<std::string, CommitParticipant*> recovered_participants_;
 
   SimTime checkpoint_interval_ = 0;
   SimTime last_checkpoint_time_ = 0;

@@ -570,7 +570,6 @@ void TransactionManager::HandleCommit(const TransactionId& tid) {
   AppendTxnRecord(RecordType::kTxnCommit, *txn, /*force=*/false);
   txn->state = TxnState::kCommitted;
   logged_outcomes_[tid] = TxnOutcome::kCommitted;
-  in_doubt_.erase(tid);
   if (op_queue_.enabled()) {
     // Decided: clear this transaction's taints and discharge its dependents.
     op_queue_.NoteCommitted(txn->top);
@@ -634,7 +633,6 @@ void TransactionManager::HandleAbortMsg(const TransactionId& tid) {
     return;  // unknown, or another task already owns this abort
   }
   AbortSubtree(*txn, /*notify_children=*/true);
-  in_doubt_.erase(tid);
   ForgetTxn(tid);
 }
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/servers/array_server.h"
 #include "src/tabs/world.h"
 
@@ -204,6 +207,93 @@ TEST_F(PresumedAbortCrashTest, CoordinatorCrashAfterPrepareResolvesAbortByPresum
       return Status::kOk;
     });
   });
+}
+
+TEST_F(PresumedAbortCrashTest, RecoveredInDoubtTxnPinsItsLogUntilTheAbortArrives) {
+  // The vote 2->1 and the abort 1->2 are lost: the coordinator aborts and
+  // the participant stays prepared. Its recovered in-doubt transaction must
+  // pin its prepare and update records across a log reclaim, or the second
+  // recovery would find no record of it and keep the update the coordinator
+  // aborted.
+  world_.network().SetDatagramLossTagged(
+      [](NodeId from, NodeId to, const std::string& what) {
+        return (from == 2 && to == 1) || (from == 1 && to == 2 && what == "2pc-abort");
+      });
+  Status outcome = Status::kInternal;
+  world_.RunApp(1, [&](Application& app) {
+    outcome = app.Transaction([&](const server::Tx& tx) {
+      a1_->SetCell(tx, 0, 5);
+      a2_->SetCell(tx, 0, 6);
+      return Status::kOk;
+    });
+  });
+  EXPECT_EQ(outcome, Status::kVoteNo);
+  world_.network().SetDatagramLossTagged({});
+  ASSERT_EQ(world_.tm(2).InDoubt().size(), 1u);
+
+  world_.RunApp(1, [&](Application& app) {
+    world_.CrashNode(2);
+    world_.RecoverNode(2, /*resolve_in_doubt=*/false);
+    world_.ReclaimLog(2);
+    world_.CrashNode(2);
+    auto stats = world_.RecoverNode(2, /*resolve_in_doubt=*/false);
+    Refresh();
+    EXPECT_EQ(stats.in_doubt.size(), 1u);
+    for (const TransactionId& t : stats.in_doubt) {
+      EXPECT_EQ(world_.tm(2).ResolveInDoubt(t), Status::kAborted);
+    }
+    app.Transaction([&](const server::Tx& tx) {
+      EXPECT_EQ(a1_->GetCell(tx, 0).value(), 0);
+      EXPECT_EQ(a2_->GetCell(tx, 0).value(), 0);
+      return Status::kOk;
+    });
+  });
+}
+
+TEST_F(CrashTest, InDoubtParentLeavesItsChildInDoubt) {
+  // A three-level tree: node 1 writes on node 2, and node 2 writes on node 3
+  // through a Tx of its own (as a server's nested call does). The commit
+  // 1->2 is lost, so node 2 is in doubt; node 3 crashes and, recovering,
+  // asks node 2. An undecided parent is no answer: node 3 stays in doubt
+  // until node 2 learns the verdict and passes the commit down.
+  auto* a3 = world_.AddServerOf<ArrayServer>(3, "array3", 64u);
+  world_.network().SetDatagramLossTagged(
+      [](NodeId from, NodeId to, const std::string& what) {
+        return from == 1 && to == 2 && (what == "2pc-commit" || what == "paxos-learn");
+      });
+  Status outcome = Status::kInternal;
+  world_.RunApp(1, [&](Application& app) {
+    outcome = app.Transaction([&](const server::Tx& tx) {
+      a1_->SetCell(tx, 0, 5);
+      a2_->SetCell(tx, 0, 6);
+      server::Tx at2 = tx;
+      at2.origin = 2;
+      at2.origin_cm = &world_.cm(2);
+      return a3->SetCell(at2, 0, 7);
+    });
+  });
+  EXPECT_EQ(outcome, Status::kOk);
+  world_.network().SetDatagramLossTagged({});
+  ASSERT_EQ(world_.tm(2).InDoubt().size(), 1u);
+  const TransactionId tid = world_.tm(2).InDoubt()[0];
+  ASSERT_EQ(world_.tm(3).InDoubt(), std::vector<TransactionId>{tid});
+
+  world_.RunApp(1, [&](Application& app) {
+    world_.CrashNode(3);
+    world_.RecoverNode(3);  // asks node 2, which is in doubt itself
+    a3 = world_.Server<ArrayServer>(3, "array3");
+    EXPECT_EQ(world_.tm(3).InDoubt(), std::vector<TransactionId>{tid});
+    EXPECT_EQ(world_.tm(2).ResolveInDoubt(tid), Status::kOk);
+    EXPECT_TRUE(world_.tm(2).InDoubt().empty());
+    EXPECT_TRUE(world_.tm(3).InDoubt().empty());
+    app.Transaction([&](const server::Tx& tx) {
+      EXPECT_EQ(a1_->GetCell(tx, 0).value(), 5);
+      EXPECT_EQ(a2_->GetCell(tx, 0).value(), 6);
+      EXPECT_EQ(a3->GetCell(tx, 0).value(), 7);
+      return Status::kOk;
+    });
+  });
+  EXPECT_EQ(world_.Drain(), 0);
 }
 
 TEST_F(CrashTest, NodeRecoversAndServesNewTransactions) {

@@ -182,5 +182,70 @@ TEST(ServerRecoveryOnLiveNodeTest, ResolvedVerdictFinishesEveryServerOfTheTxn) {
   EXPECT_EQ(world.Drain(), 0);
 }
 
+// A transaction recovered in doubt pins its log records: reclaiming the log
+// of the recovered node must keep its prepare and update records, so a
+// second crash finds it in doubt again, its cell still locked. Not pinned to
+// a commit mode: the verdict never reaches node 2 under either.
+TEST(InDoubtRecoveryTest, RecoveredInDoubtTxnPinsItsLogAcrossReclaim) {
+  World world(2);
+  auto* a1 = world.AddServerOf<ArrayServer>(1, "a1", 4u);
+  auto* x = world.AddServerOf<ArrayServer>(2, "x", 4u);
+  world.network().SetDatagramLossTagged([](NodeId from, NodeId, const std::string& what) {
+    return from == 1 && (what == "2pc-commit" || what == "paxos-learn");
+  });
+  TransactionId tid;
+  world.RunApp(1, [&](Application& app) {
+    tid = app.Begin();
+    server::Tx tx = app.MakeTx(tid);
+    ASSERT_EQ(a1->SetCell(tx, 0, 1), Status::kOk);
+    ASSERT_EQ(x->SetCell(tx, 0, 2), Status::kOk);
+    ASSERT_EQ(app.End(tid), Status::kOk);
+  });
+  world.network().SetDatagramLossTagged({});
+  ASSERT_EQ(world.tm(2).InDoubt(), std::vector<TransactionId>{tid});
+
+  world.RunApp(1, [&](Application& app) {
+    world.CrashNode(2);
+    world.RecoverNode(2, /*resolve_in_doubt=*/false);
+    world.ReclaimLog(2);
+    world.CrashNode(2);
+    auto stats = world.RecoverNode(2, /*resolve_in_doubt=*/false);
+    x = world.Server<ArrayServer>(2, "x");
+    EXPECT_EQ(stats.in_doubt, std::vector<TransactionId>{tid});
+    EXPECT_EQ(world.tm(2).InDoubt(), std::vector<TransactionId>{tid});
+    TransactionId t = app.Begin();
+    EXPECT_EQ(x->SetCell(app.MakeTx(t), 0, 9), Status::kTimeout);
+    app.Abort(t);
+    EXPECT_EQ(world.tm(2).ResolveInDoubt(tid), Status::kOk);
+    app.Transaction([&](const server::Tx& tx) {
+      EXPECT_EQ(x->GetCell(tx, 0).value_or(-1), 2);
+      return Status::kOk;
+    });
+  });
+  EXPECT_TRUE(world.tm(2).InDoubt().empty());
+  EXPECT_EQ(world.Drain(), 0);
+}
+
+// A call already on the wire when its server crashes must not run on the
+// destroyed server: it reports kNodeDown, and the node stays usable.
+TEST(ServerRecoveryOnLiveNodeTest, CallInFlightToCrashedServerReportsNodeDown) {
+  World world(2);
+  auto* x = world.AddServerOf<ArrayServer>(2, "x", 4u);
+  world.RunApp(1, [&](Application& app) {
+    TransactionId t = app.Begin();
+    auto reply = x->AsyncSetCell(app.MakeTx(t), 0, 5);
+    world.CrashServer(2, "x");
+    EXPECT_EQ(comm::Network::AwaitReply(reply, 1'000'000).status(), Status::kNodeDown);
+    app.Abort(t);
+    world.RecoverServer(2, "x");
+    x = world.Server<ArrayServer>(2, "x");
+    app.Transaction([&](const server::Tx& tx) {
+      EXPECT_EQ(x->GetCell(tx, 0).value_or(-1), 0);
+      return Status::kOk;
+    });
+  });
+  EXPECT_EQ(world.Drain(), 0);
+}
+
 }  // namespace
 }  // namespace tabs

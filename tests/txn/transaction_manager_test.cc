@@ -162,14 +162,22 @@ TEST_F(TmTest, DoubleAbortIsHarmless) {
   });
 }
 
+// The answer an in-doubt child gets from its parent: an unknown transaction
+// is kUnknown, which the child reads as presumed abort; one still running is
+// kUndecided (no verdict yet, the child stays in doubt); then its outcome.
 TEST_F(TmTest, QueryCommittedPresumesAbort) {
   world_.RunApp(1, [&](Application& app) {
     TransactionId unknown{1, 424242};
-    EXPECT_FALSE(world_.tm(1).QueryCommitted(unknown));
+    EXPECT_EQ(world_.tm(1).KnowledgeOf(unknown), txn::TxnKnowledge::kUnknown);
     TransactionId t = app.Begin();
     arr_->SetCell(app.MakeTx(t), 0, 1);
-    app.End(t);
-    EXPECT_TRUE(world_.tm(1).QueryCommitted(t));
+    EXPECT_EQ(world_.tm(1).KnowledgeOf(t), txn::TxnKnowledge::kUndecided);
+    EXPECT_EQ(app.End(t), Status::kOk);
+    EXPECT_EQ(world_.tm(1).KnowledgeOf(t), txn::TxnKnowledge::kCommitted);
+    TransactionId a = app.Begin();
+    arr_->SetCell(app.MakeTx(a), 0, 2);
+    app.Abort(a);
+    EXPECT_EQ(world_.tm(1).KnowledgeOf(a), txn::TxnKnowledge::kAborted);
   });
 }
 
