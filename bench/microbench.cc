@@ -1,11 +1,13 @@
 // Real-CPU micro-benchmarks (google-benchmark) of the substrate's hot
-// paths: log append/force, lock acquire/release (also after a bulk load),
-// scheduler task turnaround and task switch, recoverable-segment access, and
-// B-tree operations. These measure the implementation itself (host
+// paths: log append/force, recovery's log scans, lock acquire/release (also
+// after a bulk load), scheduler task turnaround and task switch,
+// recoverable-segment access, and B-tree operations. These measure the implementation itself (host
 // nanoseconds), not the simulated Perq — the Table 5-x binaries handle the
 // paper's virtual-time results.
 
 #include <benchmark/benchmark.h>
+
+#include <optional>
 
 #include "src/lock/lock_manager.h"
 #include "src/log/log_manager.h"
@@ -16,12 +18,7 @@
 namespace tabs {
 namespace {
 
-void BM_LogAppend(benchmark::State& state) {
-  sim::Scheduler sched;
-  sim::Substrate substrate(sched, sim::CostModel::Baseline(),
-                           sim::ArchitectureModel::Prototype());
-  log::StableLogDevice device;
-  log::LogManager log(substrate, device);
+log::LogRecord ValueRecord() {
   log::LogRecord rec;
   rec.type = log::RecordType::kValueUpdate;
   rec.owner = {1, 1};
@@ -30,12 +27,90 @@ void BM_LogAppend(benchmark::State& state) {
   rec.oid = {1, 0, 8};
   rec.old_value = Bytes(8, 0);
   rec.new_value = Bytes(8, 1);
+  return rec;
+}
+
+void BM_LogAppend(benchmark::State& state) {
+  sim::Scheduler sched;
+  sim::Substrate substrate(sched, sim::CostModel::Baseline(),
+                           sim::ArchitectureModel::Prototype());
+  log::StableLogDevice device;
+  log::LogManager log(substrate, device);
+  const log::LogRecord rec = ValueRecord();
   for (auto _ : state) {
     benchmark::DoNotOptimize(log.Append(rec));
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LogAppend);
+
+// One append forced on its own: the per-commit log cost, sector sums
+// included. A fresh device every 4096 forces keeps memory bounded.
+void BM_LogForce(benchmark::State& state) {
+  sim::Scheduler sched;
+  sim::Substrate substrate(sched, sim::CostModel::Baseline(),
+                           sim::ArchitectureModel::Prototype());
+  std::optional<log::StableLogDevice> device;
+  std::optional<log::LogManager> log;
+  const log::LogRecord rec = ValueRecord();
+  std::int64_t n = 0;
+  for (auto _ : state) {
+    if (n++ % 4096 == 0) {
+      log.reset();
+      device.emplace();
+      log.emplace(substrate, *device);
+    }
+    log->Force(log->Append(rec));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LogForce);
+
+// What crash recovery reads of a 50k-record log (two operation updates and
+// a commit per transaction): rebinding validates the stable tail, then one
+// forward and one backward scan read every record's header, as recovery's
+// passes do for the records they skip.
+void BM_RecoveryScan(benchmark::State& state) {
+  constexpr int kRecords = 50'000;
+  sim::Scheduler sched;
+  sim::Substrate substrate(sched, sim::CostModel::Baseline(),
+                           sim::ArchitectureModel::Prototype());
+  log::StableLogDevice device;
+  {
+    log::LogManager log(substrate, device);
+    for (int i = 0; i < kRecords; ++i) {
+      log::LogRecord rec;
+      rec.owner = {1, static_cast<std::uint64_t>(i / 3 + 1)};
+      rec.top = rec.owner;
+      if (i % 3 == 2) {
+        rec.type = log::RecordType::kTxnCommit;
+      } else {
+        rec.type = log::RecordType::kOperationUpdate;
+        rec.server = "accounts";
+        rec.op_name = "credit";
+        rec.redo_args = Bytes(12, static_cast<std::uint8_t>(i));
+        rec.undo_op_name = "debit";
+        rec.undo_args = rec.redo_args;
+        rec.pages = {{1, static_cast<PageNumber>(i % 64)}};
+      }
+      log.Append(std::move(rec));
+    }
+    log.ForceAll();
+  }
+  for (auto _ : state) {
+    log::LogManager log(substrate, device);
+    std::uint64_t seen = 0;
+    for (Lsn l = log.first_lsn(); l != kNullLsn; l = log.NextLsn(l)) {
+      seen += log.ReadHeader(l)->top.sequence;
+    }
+    for (Lsn l = log.LastDurableLsn(); l != kNullLsn; l = log.PrevLsn(l)) {
+      seen += log.ReadHeader(l)->owner.sequence;
+    }
+    benchmark::DoNotOptimize(seen);
+  }
+  state.SetItemsProcessed(state.iterations() * kRecords);
+}
+BENCHMARK(BM_RecoveryScan)->Unit(benchmark::kMillisecond);
 
 void BM_LogRecordSerializeRoundTrip(benchmark::State& state) {
   log::LogRecord rec;

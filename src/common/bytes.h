@@ -11,6 +11,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/types.h"
@@ -69,24 +70,18 @@ class ByteReader {
   std::uint64_t U64() { return ReadScalar<std::uint64_t>(); }
   std::int64_t I64() { return ReadScalar<std::int64_t>(); }
 
-  std::string Str() {
-    std::uint32_t n = U32();
-    if (!Check(n)) {
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
-    pos_ += n;
-    return s;
-  }
+  std::string Str() { return std::string(StrView()); }
   Bytes Blob() {
-    std::uint32_t n = U32();
-    if (!Check(n)) {
-      return {};
-    }
-    Bytes b(data_.begin() + pos_, data_.begin() + pos_ + n);
-    pos_ += n;
-    return b;
+    std::span<const std::uint8_t> b = BlobView();
+    return Bytes(b.begin(), b.end());
   }
+  // Str() and Blob() without the copy: views into the input, valid while it
+  // is.
+  std::string_view StrView() {
+    std::span<const std::uint8_t> b = BlobView();
+    return {reinterpret_cast<const char*>(b.data()), b.size()};
+  }
+  std::span<const std::uint8_t> BlobView() { return Take(U32()); }
   TransactionId Tid() {
     TransactionId t;
     t.node = U32();
@@ -112,8 +107,17 @@ class ByteReader {
     pos_ += sizeof(T);
     return v;
   }
+  // Steps over `n` bytes (an empty view, and !ok(), when fewer remain).
+  std::span<const std::uint8_t> Take(size_t n) {
+    if (!Check(n)) {
+      return {};
+    }
+    std::span<const std::uint8_t> b = data_.subspan(pos_, n);
+    pos_ += n;
+    return b;
+  }
   bool Check(size_t n) {
-    if (!ok_ || pos_ + n > data_.size()) {
+    if (!ok_ || n > data_.size() - pos_) {
       ok_ = false;
       return false;
     }

@@ -1,9 +1,14 @@
 #include "src/log/log_manager.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdio>
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 #include "src/sim/fault_injector.h"
 
@@ -13,16 +18,40 @@ namespace {
 
 constexpr std::uint64_t kFrameOverhead = 8;  // leading + trailing u32 lengths
 
-// FNV-1a, which streams: hashing [a, c) equals hashing [b, c) from the hash
-// of [a, b).
-constexpr std::uint32_t kFnvOffsetBasis = 2166136261u;
+// A sector's sum starts from the standard CRC32C initial state. Sums are
+// stored raw (never inverted), so they stream: a partial sector's sum is the
+// state after its bytes so far, and appending folds in only the new bytes.
+constexpr std::uint32_t kCrcInit = 0xFFFFFFFFu;
 
-std::uint32_t Fnv1a(std::uint32_t h, const std::uint8_t* begin, const std::uint8_t* end) {
-  for (const std::uint8_t* p = begin; p != end; ++p) {
-    h ^= *p;
-    h *= 16777619u;
+constexpr std::array<std::uint32_t, 256> MakeCrc32cTable() {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c >> 1) ^ ((c & 1) != 0 ? 0x82F63B78u : 0);  // reflected Castagnoli
+    }
+    table[i] = c;
   }
-  return h;
+  return table;
+}
+
+constexpr std::array<std::uint32_t, 256> kCrc32cTable = MakeCrc32cTable();
+
+using Crc32cFn = std::uint32_t (*)(std::uint32_t, const std::uint8_t*, std::size_t);
+
+// The sector sums' CRC32C, picked once: the SSE4.2 instruction where the CPU
+// has it, else the table.
+std::uint32_t Crc32c(std::uint32_t crc, const std::uint8_t* data, std::size_t n) {
+  static const Crc32cFn fn = []() -> Crc32cFn {
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("sse4.2")) {
+      return &Crc32cSse42;
+    }
+#endif
+    return &Crc32cTable;
+  }();
+  return fn(crc, data, n);
 }
 
 std::uint32_t ReadU32(std::span<const std::uint8_t> s) {
@@ -33,6 +62,31 @@ std::uint32_t ReadU32(std::span<const std::uint8_t> s) {
 }
 
 }  // namespace
+
+std::uint32_t Crc32cTable(std::uint32_t crc, const std::uint8_t* data, std::size_t n) {
+  for (const std::uint8_t* end = data + n; data != end; ++data) {
+    crc = kCrc32cTable[(crc ^ *data) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc;
+}
+
+#if defined(__x86_64__)
+__attribute__((target("sse4.2"))) std::uint32_t Crc32cSse42(std::uint32_t crc,
+                                                            const std::uint8_t* data,
+                                                            std::size_t n) {
+  std::uint64_t wide = crc;
+  for (; n >= 8; data += 8, n -= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, data, sizeof word);
+    wide = _mm_crc32_u64(wide, word);
+  }
+  auto narrow = static_cast<std::uint32_t>(wide);
+  for (; n > 0; ++data, --n) {
+    narrow = _mm_crc32_u8(narrow, *data);
+  }
+  return narrow;
+}
+#endif
 
 std::span<const std::uint8_t> StableLogDevice::Read(std::uint64_t offset,
                                                     std::uint64_t length) const {
@@ -57,11 +111,11 @@ void StableLogDevice::Resize(std::uint64_t n) {
 }
 
 std::uint32_t StableLogDevice::ComputeSum(std::uint64_t sector) const {
-  // FNV-1a over the sector's valid byte range (the final sector may be
+  // CRC32C over the sector's valid byte range (the final sector may be
   // partial; its checksum covers only the bytes written so far).
   std::uint64_t begin = sector * kSectorBytes;
   std::uint64_t end = std::min(begin + kSectorBytes, size_);
-  return Fnv1a(kFnvOffsetBasis, data_.get() + begin, data_.get() + end);
+  return Crc32c(kCrcInit, data_.get() + begin, end - begin);
 }
 
 void StableLogDevice::ResyncSums(std::uint64_t begin, std::uint64_t end) {
@@ -83,11 +137,13 @@ void StableLogDevice::ExtendSums(std::uint64_t begin) {
   for (std::uint64_t i = begin; i < size_;) {
     std::uint64_t s = i / kSectorBytes;
     std::uint64_t end = std::min((s + 1) * kSectorBytes, size_);
-    // A partial sector's stored sum is the running hash of its bytes so far.
-    // Folding the new bytes into it, rather than rehashing the sector, also
-    // keeps a sum that CorruptSector left stale stale.
-    std::uint32_t h = i % kSectorBytes == 0 ? kFnvOffsetBasis : sums_[s];
-    sums_[s] = Fnv1a(h, bytes + i, bytes + end);
+    // A partial sector's stored sum is the raw CRC state of its bytes so
+    // far. Folding the new bytes into it, rather than rehashing the sector,
+    // also keeps a sum that CorruptSector left stale stale: folding fixed
+    // bytes into a CRC state is a bijection, so two states that differ
+    // still differ afterwards.
+    std::uint32_t h = i % kSectorBytes == 0 ? kCrcInit : sums_[s];
+    sums_[s] = Crc32c(h, bytes + i, end - i);
     i = end;
   }
 }
@@ -185,7 +241,7 @@ void LogManager::ValidateStableTail() {
   }
   // Bytes at/after the first checksum-failing sector are suspect: a frame is
   // only trusted if it lies entirely below that limit AND its framing is
-  // intact AND its payload deserializes. The walk stops at the first record
+  // intact AND its payload is well formed. The walk stops at the first record
   // that fails any test; everything from there on is the torn/corrupt tail.
   std::uint64_t trusted_limit = device_.FirstInvalidByte();
   if (trusted_limit < end) {
@@ -204,7 +260,7 @@ void LogManager::ValidateStableTail() {
     if (ReadU32(device_.Read(off + 4 + len, 4)) != len) {
       break;  // trailer mismatch: the tail of the frame never landed
     }
-    if (!LogRecord::Deserialize(device_.Read(off + 4, len))) {
+    if (!LogRecord::WellFormed(device_.Read(off + 4, len))) {
       break;  // framing looks plausible but the payload is garbage
     }
     off = frame_end;
@@ -217,26 +273,24 @@ void LogManager::ValidateStableTail() {
 }
 
 Lsn LogManager::Append(LogRecord rec) {
-  rec.prev_lsn = LastLsnOf(rec.owner);
-  rec.lsn = next_lsn_;
-  Bytes payload = rec.Serialize();
-  auto len = static_cast<std::uint32_t>(payload.size());
-
-  ByteWriter w;
-  w.U32(len);
-  Bytes framed = w.Take();
-  framed.insert(framed.end(), payload.begin(), payload.end());
-  ByteWriter w2;
-  w2.U32(len);
-  Bytes trailer = w2.Take();
-  framed.insert(framed.end(), trailer.begin(), trailer.end());
-
-  buffer_.insert(buffer_.end(), framed.begin(), framed.end());
+  const Lsn lsn = next_lsn_;
+  rec.prev_lsn = kNullLsn;
   if (!rec.owner.IsNull()) {
-    chains_[rec.owner] = rec.lsn;
+    Lsn& chain = chains_[rec.owner];
+    rec.prev_lsn = chain;
+    chain = lsn;
   }
-  Lsn lsn = next_lsn_;
-  next_lsn_ += framed.size();
+  rec.lsn = lsn;
+  // Frame the record in place: reserve the length, encode straight into the
+  // buffer, then patch the length and repeat it as the trailer.
+  const std::size_t start = buffer_.size();
+  buffer_.resize(start + 4);
+  rec.SerializeTo(buffer_);
+  const auto len = static_cast<std::uint32_t>(buffer_.size() - start - 4);
+  buffer_.resize(buffer_.size() + 4);
+  std::memcpy(buffer_.data() + start, &len, sizeof len);
+  std::memcpy(buffer_.data() + buffer_.size() - 4, &len, sizeof len);
+  next_lsn_ += buffer_.size() - start;
   last_record_lsn_ = lsn;
   return lsn;
 }
@@ -303,41 +357,40 @@ void LogManager::WaitDurable(Lsn lsn) {
   }
 }
 
-std::optional<LogRecord> LogManager::ReadRecord(Lsn lsn) const {
+std::span<const std::uint8_t> LogManager::RecordBytes(Lsn lsn) const {
   if (lsn == kNullLsn || lsn <= device_.truncated_prefix() || lsn >= next_lsn_) {
-    return std::nullopt;
+    return {};
   }
-  std::span<const std::uint8_t> head;
-  std::span<const std::uint8_t> body;
   if (lsn >= buffer_start_) {
     // Still in the volatile buffer.
     std::uint64_t off = lsn - buffer_start_;
     if (off + 4 > buffer_.size()) {
-      return std::nullopt;
+      return {};
     }
-    head = {buffer_.data() + off, 4};
-    std::uint32_t len = ReadU32(head);
+    std::uint32_t len = ReadU32({buffer_.data() + off, 4});
     if (off + 4 + len > buffer_.size()) {
-      return std::nullopt;
+      return {};
     }
-    body = {buffer_.data() + off + 4, len};
-  } else {
-    std::uint64_t offset = lsn - 1;
-    head = device_.Read(offset, 4);
-    if (head.empty()) {
-      return std::nullopt;
-    }
-    std::uint32_t len = ReadU32(head);
-    body = device_.Read(offset + 4, len);
-    if (body.empty() && len != 0) {
-      return std::nullopt;
-    }
+    return {buffer_.data() + off + 4, len};
   }
-  auto rec = LogRecord::Deserialize(body);
+  std::uint64_t offset = lsn - 1;
+  auto head = device_.Read(offset, 4);
+  if (head.empty()) {
+    return {};
+  }
+  return device_.Read(offset + 4, ReadU32(head));
+}
+
+std::optional<LogRecord> LogManager::ReadRecord(Lsn lsn) const {
+  auto rec = LogRecord::Deserialize(RecordBytes(lsn));
   if (rec) {
     rec->lsn = lsn;
   }
   return rec;
+}
+
+std::optional<RecordHeader> LogManager::ReadHeader(Lsn lsn) const {
+  return LogRecord::ReadHeader(RecordBytes(lsn));
 }
 
 Lsn LogManager::NextLsn(Lsn lsn) const {

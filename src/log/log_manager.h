@@ -27,6 +27,17 @@
 
 namespace tabs::log {
 
+// CRC32C (Castagnoli), the sector checksum. Each function folds `n` bytes
+// into a raw CRC state, with no inversion on the way in or out, so a sum
+// streams: folding [a, b) and then [b, c) equals folding [a, c). The
+// standard CRC32C of a message is ~Crc32c*(0xFFFFFFFF, message). The table
+// version runs anywhere; Crc32cSse42 needs a CPU with SSE4.2. The device
+// picks one once, at first use.
+std::uint32_t Crc32cTable(std::uint32_t crc, const std::uint8_t* data, std::size_t n);
+#if defined(__x86_64__)
+std::uint32_t Crc32cSse42(std::uint32_t crc, const std::uint8_t* data, std::size_t n);
+#endif
+
 // The stable device. Its contents survive node crashes; the space-reclamation
 // low-water mark models the paper's log-space reclamation (Section 3.2.2).
 //
@@ -96,7 +107,7 @@ class StableLogDevice {
   std::uint64_t size_ = 0;
   std::uint64_t capacity_ = 0;
   std::uint64_t truncated_prefix_ = 0;
-  std::vector<std::uint32_t> sums_;  // one per sector, header-space checksums
+  std::vector<std::uint32_t> sums_;  // one raw CRC32C state per sector
 };
 
 class LogManager {
@@ -132,6 +143,9 @@ class LogManager {
   // after a crash the buffer is empty, so recovery naturally sees only what
   // reached the stable device. Returns nullopt for unknown/reclaimed LSNs.
   std::optional<LogRecord> ReadRecord(Lsn lsn) const;
+  // ReadRecord's header fields alone, without decoding the rest. Its
+  // `server` view is valid until the log next writes.
+  std::optional<RecordHeader> ReadHeader(Lsn lsn) const;
 
   // LSN of the record after `lsn`, or kNullLsn at the durable frontier.
   Lsn NextLsn(Lsn lsn) const;
@@ -159,6 +173,8 @@ class LogManager {
   // damage (torn or corrupt tail must never be replayed). Runs at rebind
   // (crash recovery). Counts a log-tail truncation when it cuts anything.
   void ValidateStableTail();
+  // The encoded bytes of the record at `lsn` (empty for an unknown LSN).
+  std::span<const std::uint8_t> RecordBytes(Lsn lsn) const;
 
   sim::Substrate& substrate_;
   StableLogDevice& device_;

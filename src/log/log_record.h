@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -60,6 +61,27 @@ enum class RecordType : std::uint8_t {
 };
 
 const char* RecordTypeName(RecordType t);
+
+inline bool IsCompensation(RecordType t) {
+  return t == RecordType::kCompensation || t == RecordType::kOpCompensation;
+}
+inline bool IsValueStyle(RecordType t) {
+  return t == RecordType::kValueUpdate || t == RecordType::kCompensation;
+}
+
+// The leading fields of an encoded record, read without allocating: what
+// recovery's scans test before they decode a record in full. `server` views
+// the encoded bytes, so it is valid only until the log next writes (a force
+// may move the device's bytes).
+struct RecordHeader {
+  RecordType type = RecordType::kValueUpdate;
+  TransactionId owner;
+  TransactionId top;
+  Lsn prev_lsn = kNullLsn;
+  Lsn undo_next_lsn = kNullLsn;
+  std::string_view server;
+  ObjectId oid;
+};
 
 struct LogRecord {
   RecordType type = RecordType::kValueUpdate;
@@ -118,19 +140,14 @@ struct LogRecord {
   // Filled in by LogManager on append / on read.
   Lsn lsn = kNullLsn;
 
+  // Appends the record's encoding to `out`.
+  void SerializeTo(Bytes& out) const;
   Bytes Serialize() const;
   static std::optional<LogRecord> Deserialize(std::span<const std::uint8_t> data);
-
-  bool IsUpdate() const {
-    return type == RecordType::kValueUpdate || type == RecordType::kOperationUpdate ||
-           type == RecordType::kCompensation || type == RecordType::kOpCompensation;
-  }
-  bool IsCompensation() const {
-    return type == RecordType::kCompensation || type == RecordType::kOpCompensation;
-  }
-  bool IsValueStyle() const {
-    return type == RecordType::kValueUpdate || type == RecordType::kCompensation;
-  }
+  // Reads only the header fields, which lead every encoding.
+  static std::optional<RecordHeader> ReadHeader(std::span<const std::uint8_t> data);
+  // Whether Deserialize would accept `data`, checked without allocating.
+  static bool WellFormed(std::span<const std::uint8_t> data);
 };
 
 }  // namespace tabs::log

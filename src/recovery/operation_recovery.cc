@@ -41,13 +41,17 @@ Lsn RecoveryManager::AnalysisPass(TxnOutcomeSource& outcomes, RecoveryStats* sta
   std::unordered_map<TransactionId, std::vector<Lsn>> update_lsns_by_owner;
   std::unordered_map<TransactionId, std::vector<TransactionId>> owners_by_top;
 
-  for (Lsn lsn = scan_low; lsn != kNullLsn; lsn = log_.NextLsn(lsn)) {
-    auto rec = log_.ReadRecord(lsn);
-    if (!rec.has_value()) {
+  // Every pass reads each record's header and decodes the whole record only
+  // when it acts on it. A record that does not decode ends the log, in any
+  // pass, like a torn tail.
+  bool intact = true;
+  for (Lsn lsn = scan_low; intact && lsn != kNullLsn; lsn = log_.NextLsn(lsn)) {
+    auto head = log_.ReadHeader(lsn);
+    if (!head.has_value()) {
       break;  // torn tail: everything durable ends here
     }
     ++stats->records_scanned;
-    switch (rec->type) {
+    switch (head->type) {
       case RecordType::kTxnPrepare:
       case RecordType::kTxnCommit:
       case RecordType::kTxnAbort:
@@ -56,26 +60,31 @@ Lsn RecoveryManager::AnalysisPass(TxnOutcomeSource& outcomes, RecoveryStats* sta
       case RecordType::kNodeEpoch:
       case RecordType::kPaxosPromise:
       case RecordType::kPaxosAccept:
-      case RecordType::kPaxosLearn:
-        outcomes.ObserveTxnRecord(*rec);
+      case RecordType::kPaxosLearn: {
+        auto rec = log_.ReadRecord(lsn);
+        intact = rec.has_value();
+        if (intact) {
+          outcomes.ObserveTxnRecord(*rec);
+        }
         break;
+      }
       case RecordType::kOperationUpdate:
       case RecordType::kOpCompensation:
         *saw_operations = true;
         [[fallthrough]];
       case RecordType::kValueUpdate:
       case RecordType::kCompensation:
-        if (only_server != nullptr && rec->server != *only_server) {
+        if (only_server != nullptr && head->server != *only_server) {
           break;  // another (live) server's record: not ours to recover
         }
-        if (!seen_tops.contains(rec->top)) {
-          seen_tops.insert(rec->top);
-          update_tops.push_back(rec->top);
+        if (!seen_tops.contains(head->top)) {
+          seen_tops.insert(head->top);
+          update_tops.push_back(head->top);
         }
-        if (!rec->IsCompensation()) {
-          auto& owner_list = update_lsns_by_owner[rec->owner];
+        if (!log::IsCompensation(head->type)) {
+          auto& owner_list = update_lsns_by_owner[head->owner];
           if (owner_list.empty()) {
-            owners_by_top[rec->top].push_back(rec->owner);
+            owners_by_top[head->top].push_back(head->owner);
           }
           owner_list.push_back(lsn);
         }
@@ -131,16 +140,20 @@ void RecoveryManager::RunOperationPasses(TxnOutcomeSource& outcomes, Lsn scan_lo
   };
 
   for (Lsn lsn = scan_low; lsn != kNullLsn; lsn = log_.NextLsn(lsn)) {
-    auto rec = log_.ReadRecord(lsn);
-    if (!rec.has_value()) {
+    auto head = log_.ReadHeader(lsn);
+    if (!head.has_value()) {
       break;
     }
     ++stats->records_scanned;
-    if (rec->type != RecordType::kOperationUpdate && rec->type != RecordType::kOpCompensation) {
+    if (head->type != RecordType::kOperationUpdate && head->type != RecordType::kOpCompensation) {
       continue;
     }
-    if (only_server != nullptr && rec->server != *only_server) {
+    if (only_server != nullptr && head->server != *only_server) {
       continue;
+    }
+    auto rec = log_.ReadRecord(lsn);
+    if (!rec.has_value()) {
+      break;
     }
     kernel::RecoverableSegment* seg = SegmentOf(rec->server);
     auto hooks = op_hooks_.find(rec->server);
@@ -149,16 +162,16 @@ void RecoveryManager::RunOperationPasses(TxnOutcomeSource& outcomes, Lsn scan_lo
     }
     bool needs_redo = false;
     for (const PageId& page : rec->pages) {
-      if (effective_seq(seg, page) < rec->lsn) {
+      if (effective_seq(seg, page) < lsn) {
         needs_redo = true;
       }
     }
     if (!needs_redo) {
       continue;
     }
-    hooks->second.apply(rec->op_name, rec->redo_args, rec->lsn);
+    hooks->second.apply(rec->op_name, rec->redo_args, lsn);
     for (const PageId& page : rec->pages) {
-      page_seq[page] = rec->lsn;
+      page_seq[page] = lsn;
     }
     ++stats->operations_redone;
   }
@@ -171,29 +184,33 @@ void RecoveryManager::RunOperationPasses(TxnOutcomeSource& outcomes, Lsn scan_lo
 
   for (Lsn lsn = log_.LastDurableLsn(); lsn != kNullLsn && lsn >= scan_low;
        lsn = log_.PrevLsn(lsn)) {
-    auto rec = log_.ReadRecord(lsn);
-    if (!rec.has_value()) {
+    auto head = log_.ReadHeader(lsn);
+    if (!head.has_value()) {
       break;
     }
     ++stats->records_scanned;
-    if (!losers.contains(rec->top)) {
+    if (!losers.contains(head->top)) {
       continue;
     }
-    if (rec->type == RecordType::kOpCompensation) {
+    if (head->type == RecordType::kOpCompensation) {
       // Only the latest compensation (first seen walking backward) matters:
       // its undo_next names the next record still needing undo.
-      cursor.try_emplace(rec->owner, rec->undo_next_lsn);
+      cursor.try_emplace(head->owner, head->undo_next_lsn);
       continue;
     }
-    if (rec->type != RecordType::kOperationUpdate) {
+    if (head->type != RecordType::kOperationUpdate) {
       continue;  // value records of losers are handled by the value pass
     }
-    if (only_server != nullptr && rec->server != *only_server) {
+    if (only_server != nullptr && head->server != *only_server) {
       continue;
     }
-    auto cur = cursor.find(rec->owner);
-    if (cur != cursor.end() && (cur->second == kNullLsn || rec->lsn > cur->second)) {
+    auto cur = cursor.find(head->owner);
+    if (cur != cursor.end() && (cur->second == kNullLsn || lsn > cur->second)) {
       continue;  // already compensated before the crash
+    }
+    auto rec = log_.ReadRecord(lsn);
+    if (!rec.has_value()) {
+      break;
     }
     auto hooks = op_hooks_.find(rec->server);
     if (hooks == op_hooks_.end()) {

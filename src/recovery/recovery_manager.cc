@@ -38,7 +38,7 @@ void RecoveryManager::UnregisterServer(const std::string& server) {
   op_hooks_.erase(server);
 }
 
-kernel::RecoverableSegment* RecoveryManager::SegmentOf(const std::string& server) const {
+kernel::RecoverableSegment* RecoveryManager::SegmentOf(std::string_view server) const {
   auto it = segments_.find(server);
   return it == segments_.end() ? nullptr : it->second;
 }

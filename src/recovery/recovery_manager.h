@@ -22,6 +22,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -98,7 +99,7 @@ class RecoveryManager : public kernel::WriteAheadHooks {
   // Detaches a crashed server: undo and recovery skip its records until a
   // fresh instance re-registers (its on-disk segment is untouched).
   void UnregisterServer(const std::string& server);
-  kernel::RecoverableSegment* SegmentOf(const std::string& server) const;
+  kernel::RecoverableSegment* SegmentOf(std::string_view server) const;
 
   // Attaches the node's background page cleaner. Registered segments are
   // added to the cleaner (and switched to clean-frame-preferring eviction),
@@ -224,7 +225,7 @@ class RecoveryManager : public kernel::WriteAheadHooks {
 
   kernel::Node& node_;
   log::LogManager log_;
-  std::map<std::string, kernel::RecoverableSegment*> segments_;
+  std::map<std::string, kernel::RecoverableSegment*, std::less<>> segments_;
   std::map<std::string, OperationHooks> op_hooks_;
   kernel::PageCleaner* cleaner_ = nullptr;
   // Volatile per-(sub)transaction undo lists (normal-operation abort).

@@ -29,15 +29,17 @@ using log::RecordType;
 
 namespace {
 
+// An object by the segment that holds it: the server's name need not be
+// copied out of the log to key the closed set.
 struct ObjectKey {
-  std::string server;
+  const kernel::RecoverableSegment* segment;
   ObjectId oid;
   bool operator==(const ObjectKey&) const = default;
 };
 
 struct ObjectKeyHash {
   size_t operator()(const ObjectKey& k) const {
-    return std::hash<std::string>()(k.server) ^ std::hash<ObjectId>()(k.oid);
+    return std::hash<const void*>()(k.segment) ^ std::hash<ObjectId>()(k.oid);
   }
 };
 
@@ -50,24 +52,28 @@ void RecoveryManager::RunValueBackwardPass(TxnOutcomeSource& outcomes, Lsn scan_
 
   for (Lsn lsn = log_.LastDurableLsn(); lsn != kNullLsn && lsn >= scan_low;
        lsn = log_.PrevLsn(lsn)) {
-    auto rec = log_.ReadRecord(lsn);
-    if (!rec.has_value()) {
+    auto head = log_.ReadHeader(lsn);
+    if (!head.has_value()) {
       break;  // reclaimed prefix
     }
     ++stats->records_scanned;
-    if (!rec->IsValueStyle()) {
+    if (!log::IsValueStyle(head->type)) {
       continue;
     }
-    if (only_server != nullptr && rec->server != *only_server) {
+    if (only_server != nullptr && head->server != *only_server) {
       continue;
     }
-    ObjectKey key{rec->server, rec->oid};
+    kernel::RecoverableSegment* seg = SegmentOf(head->server);
+    if (seg == nullptr) {
+      continue;  // server not re-registered; its segment is not being recovered
+    }
+    ObjectKey key{seg, head->oid};
     if (closed.contains(key)) {
       continue;
     }
-    kernel::RecoverableSegment* seg = SegmentOf(rec->server);
-    if (seg == nullptr) {
-      continue;  // server not re-registered; its segment is not being recovered
+    auto rec = log_.ReadRecord(lsn);
+    if (!rec.has_value()) {
+      break;
     }
     TxnOutcome outcome = outcomes.OutcomeOf(rec->top);
     const Bytes* restore = nullptr;
@@ -83,7 +89,7 @@ void RecoveryManager::RunValueBackwardPass(TxnOutcomeSource& outcomes, Lsn scan_
       // older before-image.
     }
     seg->Pin(rec->oid);
-    seg->Write(rec->oid, *restore, rec->lsn);
+    seg->Write(rec->oid, *restore, lsn);
     seg->Unpin(rec->oid);
     ++stats->values_restored;
   }

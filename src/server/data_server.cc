@@ -203,7 +203,7 @@ void DataServer::OnAbortSettled(const TransactionId& tid) {
 
 void DataServer::RelockForRecovery(const TransactionId& tid, const log::LogRecord& rec) {
   updates_.insert(tid);
-  if (rec.IsValueStyle()) {
+  if (log::IsValueStyle(rec.type)) {
     locks_.ConditionalLock(tid, rec.oid, lock::kExclusive);
     return;
   }

@@ -339,7 +339,8 @@ void TransactionManager::ObserveTxnRecord(const LogRecord& rec) {
       if (!logged_outcomes_.contains(rec.top)) {
         logged_outcomes_[rec.top] = TxnOutcome::kPrepared;
       }
-      logged_prepares_[rec.top] = PrepareRecord{rec.parent_node, rec.siblings, rec.acceptors};
+      logged_prepares_[rec.top] =
+          PrepareRecord{rec.parent_node, rec.siblings, rec.acceptors, rec.children};
       break;
     case RecordType::kPaxosPromise:
     case RecordType::kPaxosAccept:
@@ -392,6 +393,14 @@ void TransactionManager::PostRecovery(
       txn->state = TxnState::kPrepared;
       txn->siblings = prepared.siblings;
       txn->acceptors = prepared.acceptors;
+      // The verdict goes down the tree as before the crash: a commit to the
+      // children that prepared (a child that no longer knows the
+      // transaction ignores it), an abort to the Communication Manager's
+      // children.
+      txn->update_children.insert(prepared.children.begin(), prepared.children.end());
+      for (NodeId child : prepared.children) {
+        cm_.NoteChild(tid, child);
+      }
     }
     // Rebuild lock state: every object the in-doubt transaction updated
     // stays inaccessible until the coordinator's verdict arrives.
@@ -530,7 +539,9 @@ std::optional<TransactionManager::PrepareRecord> TransactionManager::PreparedRec
   if (txn == nullptr || txn->state != TxnState::kPrepared) {
     return std::nullopt;
   }
-  return PrepareRecord{txn->parent_node, txn->siblings, txn->acceptors};
+  const auto& children = cm_.InfoFor(txn->top).children;
+  return PrepareRecord{txn->parent_node, txn->siblings, txn->acceptors,
+                       std::vector<NodeId>(children.begin(), children.end())};
 }
 
 void TransactionManager::ApplyVerdict(const TransactionId& tid, bool committed) {

@@ -273,12 +273,13 @@ class TransactionManager : public comm::TransactionTreeListener,
 
   // What a prepare record names: whom a prepared transaction asks for its
   // verdict — the 2PC parent, the sibling participants (cooperative
-  // termination; the instance set under Paxos Commit) — and the Paxos
-  // acceptor set (empty under 2PC).
+  // termination; the instance set under Paxos Commit) — the Paxos acceptor
+  // set (empty under 2PC), and the children it passes the verdict down to.
   struct PrepareRecord {
     NodeId parent_node = kInvalidNode;
     std::vector<NodeId> siblings;
     std::vector<NodeId> acceptors;
+    std::vector<NodeId> children;
   };
 
   Txn* Find(const TransactionId& tid);

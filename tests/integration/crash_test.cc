@@ -209,6 +209,52 @@ TEST_F(PresumedAbortCrashTest, CoordinatorCrashAfterPrepareResolvesAbortByPresum
   });
 }
 
+TEST_F(PresumedAbortCrashTest, RecoveredIntermediateNodePassesItsAbortDown) {
+  // A three-level tree 1->2->3 whose vote 2->1 and abort 1->2 are lost: the
+  // coordinator aborts, node 2 and its child node 3 stay prepared. Node 2
+  // crashes; recovering, it presumes abort from node 1 and must pass the
+  // abort down to node 3, whom only its prepare record still names.
+  auto* a3 = world_.AddServerOf<ArrayServer>(3, "array3", 64u);
+  world_.network().SetDatagramLossTagged(
+      [](NodeId from, NodeId to, const std::string& what) {
+        return (from == 2 && to == 1) || (from == 1 && to == 2 && what == "2pc-abort");
+      });
+  Status outcome = Status::kInternal;
+  world_.RunApp(1, [&](Application& app) {
+    outcome = app.Transaction([&](const server::Tx& tx) {
+      a2_->SetCell(tx, 0, 6);
+      server::Tx at2 = tx;
+      at2.origin = 2;
+      at2.origin_cm = &world_.cm(2);
+      return a3->SetCell(at2, 0, 7);
+    });
+  });
+  EXPECT_EQ(outcome, Status::kVoteNo);
+  world_.network().SetDatagramLossTagged({});
+  ASSERT_EQ(world_.tm(2).InDoubt().size(), 1u);
+  const TransactionId tid = world_.tm(2).InDoubt()[0];
+  ASSERT_EQ(world_.tm(3).InDoubt(), std::vector<TransactionId>{tid});
+
+  world_.RunApp(1, [&](Application& app) {
+    world_.CrashNode(2);
+    world_.RecoverNode(2);  // asks node 1: unknown, so aborted
+    Refresh();
+    EXPECT_TRUE(world_.tm(2).InDoubt().empty());
+    Status writer = app.Transaction([&](const server::Tx& tx) {
+      EXPECT_EQ(a3->GetCell(tx, 0).value_or(-1), 0);
+      return a3->SetCell(tx, 0, 8);
+    });
+    EXPECT_EQ(writer, Status::kOk);
+    EXPECT_TRUE(world_.tm(3).InDoubt().empty());
+    app.Transaction([&](const server::Tx& tx) {
+      EXPECT_EQ(a2_->GetCell(tx, 0).value_or(-1), 0);
+      EXPECT_EQ(a3->GetCell(tx, 0).value_or(-1), 8);
+      return Status::kOk;
+    });
+  });
+  EXPECT_EQ(world_.Drain(), 0);
+}
+
 TEST_F(PresumedAbortCrashTest, RecoveredInDoubtTxnPinsItsLogUntilTheAbortArrives) {
   // The vote 2->1 and the abort 1->2 are lost: the coordinator aborts and
   // the participant stays prepared. Its recovered in-doubt transaction must
@@ -290,6 +336,53 @@ TEST_F(CrashTest, InDoubtParentLeavesItsChildInDoubt) {
       EXPECT_EQ(a1_->GetCell(tx, 0).value(), 5);
       EXPECT_EQ(a2_->GetCell(tx, 0).value(), 6);
       EXPECT_EQ(a3->GetCell(tx, 0).value(), 7);
+      return Status::kOk;
+    });
+  });
+  EXPECT_EQ(world_.Drain(), 0);
+}
+
+TEST_F(CrashTest, RecoveredIntermediateNodePassesItsCommitDown) {
+  // The three-level tree 1->2->3 again, with the commit 1->2 lost: node 2
+  // and its child node 3 are both in doubt. Node 2 crashes; recovering, it
+  // learns the commit from node 1 and must pass it down to node 3, whom
+  // only its prepare record still names.
+  auto* a3 = world_.AddServerOf<ArrayServer>(3, "array3", 64u);
+  world_.network().SetDatagramLossTagged(
+      [](NodeId from, NodeId to, const std::string& what) {
+        return from == 1 && to == 2 && (what == "2pc-commit" || what == "paxos-learn");
+      });
+  Status outcome = Status::kInternal;
+  world_.RunApp(1, [&](Application& app) {
+    outcome = app.Transaction([&](const server::Tx& tx) {
+      a2_->SetCell(tx, 0, 6);
+      server::Tx at2 = tx;
+      at2.origin = 2;
+      at2.origin_cm = &world_.cm(2);
+      return a3->SetCell(at2, 0, 7);
+    });
+  });
+  EXPECT_EQ(outcome, Status::kOk);
+  world_.network().SetDatagramLossTagged({});
+  ASSERT_EQ(world_.tm(2).InDoubt().size(), 1u);
+  const TransactionId tid = world_.tm(2).InDoubt()[0];
+  ASSERT_EQ(world_.tm(3).InDoubt(), std::vector<TransactionId>{tid});
+
+  world_.RunApp(1, [&](Application& app) {
+    world_.CrashNode(2);
+    world_.RecoverNode(2);  // asks node 1: committed
+    Refresh();
+    EXPECT_TRUE(world_.tm(2).InDoubt().empty());
+    // Node 3 committed and released its lock: a new writer gets the cell.
+    Status writer = app.Transaction([&](const server::Tx& tx) {
+      EXPECT_EQ(a3->GetCell(tx, 0).value_or(-1), 7);
+      return a3->SetCell(tx, 0, 8);
+    });
+    EXPECT_EQ(writer, Status::kOk);
+    EXPECT_TRUE(world_.tm(3).InDoubt().empty());
+    app.Transaction([&](const server::Tx& tx) {
+      EXPECT_EQ(a2_->GetCell(tx, 0).value_or(-1), 6);
+      EXPECT_EQ(a3->GetCell(tx, 0).value_or(-1), 8);
       return Status::kOk;
     });
   });

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+
 #include "src/log/log_record.h"
 #include "src/sim/substrate.h"
 
@@ -85,13 +89,193 @@ TEST(LogRecordTest, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(back->checkpoint_data, r.checkpoint_data);
 }
 
-TEST(LogRecordTest, DeserializeRejectsTruncatedInput) {
+// One record of `type` with every field set. `tail` 0 leaves the Paxos
+// fields default (no tail), 1 sets them (the tail), 2 adds batched accept
+// instances (the paxos_extra sub-tail).
+LogRecord SampleRecord(RecordType type, int tail) {
   LogRecord r;
-  r.server = "x";
-  Bytes b = r.Serialize();
-  b.resize(b.size() / 2);
-  EXPECT_FALSE(LogRecord::Deserialize(b).has_value());
+  r.type = type;
+  r.owner = {2, 7};
+  r.top = {2, 3};
+  r.prev_lsn = 99;
+  r.undo_next_lsn = 55;
+  r.server = "accounts";
+  r.oid = {4, 1024, 16};
+  r.old_value = {1, 2, 3};
+  r.new_value = {4, 5};
+  r.op_name = "insert";
+  r.redo_args = {9, 9};
+  r.undo_op_name = "delete";
+  r.undo_args = {8};
+  r.pages = {{4, 2}, {4, 3}};
+  r.parent_node = 12;
+  r.children = {3, 4, 5};
+  r.siblings = {6};
+  r.local_servers = {"a", "bc"};
+  r.parent_tid = {1, 1};
+  r.checkpoint_data = {0xde, 0xad};
+  if (tail >= 1) {
+    r.acceptors = {1, 2, 3};
+    r.paxos_participant = 2;
+    r.paxos_ballot = 4;
+    r.paxos_vote = -1;
+  }
+  if (tail >= 2) {
+    r.paxos_extra = {{5, 1}, {6, 2}};
+  }
+  return r;
 }
+
+std::vector<LogRecord> EverySampleRecord() {
+  std::vector<LogRecord> out;
+  for (auto t = static_cast<int>(RecordType::kValueUpdate);
+       t <= static_cast<int>(RecordType::kPaxosLearn); ++t) {
+    for (int tail = 0; tail <= 2; ++tail) {
+      out.push_back(SampleRecord(static_cast<RecordType>(t), tail));
+    }
+  }
+  return out;
+}
+
+TEST(LogRecordTest, HeaderViewMatchesTheFullDecodeForEveryRecordType) {
+  for (const LogRecord& r : EverySampleRecord()) {
+    SCOPED_TRACE(RecordTypeName(r.type));
+    Bytes b = r.Serialize();
+    auto full = LogRecord::Deserialize(b);
+    auto head = LogRecord::ReadHeader(b);
+    ASSERT_TRUE(full.has_value());
+    ASSERT_TRUE(head.has_value());
+    EXPECT_TRUE(LogRecord::WellFormed(b));
+    EXPECT_EQ(head->type, full->type);
+    EXPECT_EQ(head->owner, full->owner);
+    EXPECT_EQ(head->top, full->top);
+    EXPECT_EQ(head->prev_lsn, full->prev_lsn);
+    EXPECT_EQ(head->undo_next_lsn, full->undo_next_lsn);
+    EXPECT_EQ(head->server, full->server);
+    EXPECT_EQ(head->oid, full->oid);
+    // Every other field round-trips too, tails included.
+    EXPECT_EQ(full->acceptors, r.acceptors);
+    EXPECT_EQ(full->paxos_participant, r.paxos_participant);
+    EXPECT_EQ(full->paxos_ballot, r.paxos_ballot);
+    EXPECT_EQ(full->paxos_vote, r.paxos_vote);
+    ASSERT_EQ(full->paxos_extra.size(), r.paxos_extra.size());
+    for (size_t i = 0; i < r.paxos_extra.size(); ++i) {
+      EXPECT_EQ(full->paxos_extra[i].participant, r.paxos_extra[i].participant);
+      EXPECT_EQ(full->paxos_extra[i].vote, r.paxos_extra[i].vote);
+    }
+    EXPECT_EQ(full->Serialize(), b);
+  }
+}
+
+TEST(LogRecordTest, SerializeToAppendsAfterExistingBytes) {
+  LogRecord r = SampleRecord(RecordType::kPaxosAccept, 2);
+  Bytes out{0xAA, 0xBB};
+  r.SerializeTo(out);
+  Bytes expected{0xAA, 0xBB};
+  Bytes b = r.Serialize();
+  expected.insert(expected.end(), b.begin(), b.end());
+  EXPECT_EQ(out, expected);
+}
+
+TEST(LogRecordTest, DeserializeRejectsTruncatedInput) {
+  LogRecord simple;
+  simple.server = "x";
+  std::vector<LogRecord> records = EverySampleRecord();
+  records.push_back(simple);
+  for (const LogRecord& r : records) {
+    SCOPED_TRACE(RecordTypeName(r.type));
+    Bytes b = r.Serialize();
+    // The optional tails are told by bytes remaining, so a cut exactly where
+    // one begins reads as the same record without it. Every other cut fails.
+    LogRecord no_extra = r;
+    no_extra.paxos_extra.clear();
+    LogRecord no_tail = no_extra;
+    no_tail.acceptors.clear();
+    no_tail.paxos_participant = kInvalidNode;
+    no_tail.paxos_ballot = 0;
+    no_tail.paxos_vote = 0;
+    const size_t tail_at = no_tail.Serialize().size();
+    const size_t extra_at = no_extra.Serialize().size();
+    for (size_t n = 0; n < b.size(); ++n) {
+      std::span<const std::uint8_t> prefix(b.data(), n);
+      auto back = LogRecord::Deserialize(prefix);
+      EXPECT_EQ(LogRecord::WellFormed(prefix), back.has_value()) << "prefix " << n;
+      if (n == tail_at || n == extra_at) {
+        ASSERT_TRUE(back.has_value()) << "prefix " << n;
+        EXPECT_EQ(back->Serialize(), Bytes(prefix.begin(), prefix.end()));
+      } else {
+        EXPECT_FALSE(back.has_value()) << "prefix " << n;
+      }
+    }
+  }
+}
+
+TEST(LogRecordTest, ValidityCheckAndDeserializeAgreeOnDamagedInput) {
+  std::mt19937 rng(11);
+  for (const LogRecord& r : EverySampleRecord()) {
+    const Bytes b = r.Serialize();
+    for (int trial = 0; trial < 200; ++trial) {
+      Bytes damaged = b;
+      // Overwrite a few bytes: length prefixes then claim too much or too
+      // little, and counts run past the end.
+      int flips = 1 + static_cast<int>(rng() % 3);
+      for (int i = 0; i < flips; ++i) {
+        damaged[rng() % damaged.size()] = static_cast<std::uint8_t>(rng());
+      }
+      EXPECT_EQ(LogRecord::WellFormed(damaged), LogRecord::Deserialize(damaged).has_value());
+    }
+  }
+}
+
+// CRC32C's standard check value: the CRC of "123456789" (CRC-32/ISCSI).
+constexpr std::uint32_t kCrc32cOf123456789 = 0xE3069283u;
+
+template <typename Fn>
+void ExpectKnownAnswerAndStreaming(Fn crc) {
+  const std::string check = "123456789";
+  const auto* p = reinterpret_cast<const std::uint8_t*>(check.data());
+  EXPECT_EQ(~crc(0xFFFFFFFFu, p, check.size()), kCrc32cOf123456789);
+
+  std::mt19937 rng(5);
+  Bytes data(1500);
+  for (std::uint8_t& byte : data) {
+    byte = static_cast<std::uint8_t>(rng());
+  }
+  const std::uint32_t whole = crc(0xFFFFFFFFu, data.data(), data.size());
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<size_t> cuts{0, data.size()};
+    for (int k = static_cast<int>(rng() % 5); k > 0; --k) {
+      cuts.push_back(rng() % (data.size() + 1));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    std::uint32_t sum = 0xFFFFFFFFu;
+    for (size_t i = 1; i < cuts.size(); ++i) {
+      sum = crc(sum, data.data() + cuts[i - 1], cuts[i] - cuts[i - 1]);
+    }
+    EXPECT_EQ(sum, whole) << "trial " << trial;
+  }
+}
+
+TEST(Crc32cTest, TableKnownAnswerAndStreaming) { ExpectKnownAnswerAndStreaming(Crc32cTable); }
+
+#if defined(__x86_64__)
+TEST(Crc32cTest, Sse42KnownAnswerStreamingAndAgreementWithTable) {
+  if (!__builtin_cpu_supports("sse4.2")) {
+    GTEST_SKIP() << "this CPU has no SSE4.2";
+  }
+  ExpectKnownAnswerAndStreaming(Crc32cSse42);
+  std::mt19937 rng(9);
+  Bytes data(64);
+  for (std::uint8_t& byte : data) {
+    byte = static_cast<std::uint8_t>(rng());
+  }
+  for (size_t n = 0; n <= data.size(); ++n) {
+    std::uint32_t state = rng();
+    EXPECT_EQ(Crc32cSse42(state, data.data(), n), Crc32cTable(state, data.data(), n))
+        << "length " << n;
+  }
+}
+#endif
 
 TEST_F(LogTest, AppendAssignsMonotonicLsns) {
   TransactionId t{1, 1};

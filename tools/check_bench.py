@@ -10,7 +10,7 @@ caused it).
 
 Usage:
     tools/check_bench.py BASELINE CURRENT [--allow GLOB]... [--tolerance GLOB=REL]...
-                         [--summary FILE]
+                         [--max-slowdown GLOB=X]... [--summary FILE]
     tools/check_bench.py --self-test
 
   BASELINE   committed baseline JSON (bench/baselines/smoke/...)
@@ -22,6 +22,14 @@ Usage:
              --tolerance 'rows/*/wall_ms=9.0'. For wall-clock metrics the
              simulator cannot pin down: generous enough to absorb machine
              variance, tight enough to catch order-of-magnitude regressions.
+             Two-sided: a fall in a rate can never exceed 1x its baseline,
+             so a rate tolerance of 1.0 or more cannot catch a slowdown.
+  --max-slowdown  GLOB=X: paths matching GLOB fail when they are more than
+             X times worse than the baseline (repeatable): a rate (a name
+             containing "per_", higher is better) below base/X, a time (a
+             name ending _s/_ms/_us/_ns, lower is better) above base*X. A
+             speed-up never fails. Replaces the exact comparison, like
+             --tolerance; a path matching both must pass both.
   --summary  append a compact markdown before/after table to FILE (use
              $GITHUB_STEP_SUMMARY in CI; silently skipped if empty).
   --self-test  run the built-in unit checks (CI runs this before trusting
@@ -85,12 +93,27 @@ def flatten_doc(doc):
     return dict(flatten(name_rows(doc)))
 
 
-def compare(base, cur, allow=(), tolerances=()):
+TIME_SUFFIXES = ("_s", "_ms", "_us", "_ns")
+
+
+def slower(path, b, c, factor):
+    """Whether `c` is more than `factor` times worse than `b`, reading the
+    direction from the metric's name."""
+    leaf = path.rsplit("/", 1)[-1]
+    if "per_" in leaf:
+        return c < b / factor
+    if leaf.endswith(TIME_SUFFIXES):
+        return c > b * factor
+    raise ValueError(f"--max-slowdown: {path!r} is neither a rate (per_) "
+                     f"nor a time ({'/'.join(TIME_SUFFIXES)})")
+
+
+def compare(base, cur, allow=(), tolerances=(), max_slowdowns=()):
     """Compare two flattened docs.
 
     Returns (schema_rows, value_rows): schema_rows are paths missing on one
     side (never maskable); value_rows are (path, baseline, current)
-    mismatches after --allow/--tolerance filtering.
+    mismatches after --allow/--tolerance/--max-slowdown filtering.
     """
 
     def allowed(path):
@@ -99,6 +122,10 @@ def compare(base, cur, allow=(), tolerances=()):
     def tolerance_for(path):
         matched = [rel for glob, rel in tolerances if fnmatch.fnmatch(path, glob)]
         return max(matched) if matched else None
+
+    def slowdown_for(path):
+        matched = [x for glob, x in max_slowdowns if fnmatch.fnmatch(path, glob)]
+        return min(matched) if matched else None
 
     def within(b, c, rel):
         if not isinstance(b, (int, float)) or not isinstance(c, (int, float)):
@@ -122,7 +149,14 @@ def compare(base, cur, allow=(), tolerances=()):
             continue
         b, c = base[path], cur[path]
         rel = tolerance_for(path)
-        ok = within(b, c, rel) if rel is not None else b == c
+        factor = slowdown_for(path)
+        if rel is None and factor is None:
+            ok = b == c
+        else:
+            ok = rel is None or within(b, c, rel)
+            if factor is not None:
+                numeric = all(isinstance(v, (int, float)) for v in (b, c))
+                ok = ok and (not slower(path, b, c, factor) if numeric else b == c)
         if not ok:
             value_rows.append((path, b, c))
     return schema_rows, value_rows
@@ -234,11 +268,40 @@ def self_test():
     s, v = compare(base, with_meta)
     check("top-level meta is ignored", not s and not v)
 
+    # --max-slowdown is one-sided: it fails a rate that fell or a time that
+    # grew by more than X, and never a speed-up. The two-sided tolerance
+    # cannot catch a fall in a rate at all once REL >= 1.
+    def host(events, wall):
+        return flatten_doc({"bench": "t", "rows": [
+            {"name": "a", "events_per_sec": events, "wall_ms": wall}]})
+
+    host_base = host(300.0, 10.0)
+    slow = [("rows/*/events_per_sec", 2.5), ("rows/*/wall_ms", 2.5)]
+    s, v = compare(host_base, host(100.0, 30.0), max_slowdowns=slow)
+    check("max-slowdown fails a 3x slowdown at 2.5",
+          not s and v == [("rows/a/events_per_sec", 300.0, 100.0),
+                          ("rows/a/wall_ms", 10.0, 30.0)])
+    s, v = compare(host_base, host(150.0, 20.0), max_slowdowns=slow)
+    check("max-slowdown passes a 2x slowdown at 2.5", not s and not v)
+    s, v = compare(host_base, host(3000.0, 1.0), max_slowdowns=slow)
+    check("max-slowdown passes a 10x speed-up", not s and not v)
+    wide = [("rows/*/events_per_sec", 9.0), ("rows/*/wall_ms", 9.0)]
+    s, v = compare(host_base, host(100.0, 30.0), tolerances=wide)
+    check("a 9.0 tolerance alone passes a 3x slowdown", not s and not v)
+    s, v = compare(host_base, host(100.0, 30.0), tolerances=wide, max_slowdowns=slow)
+    check("max-slowdown fails a 3x slowdown the 9.0 tolerance lets through",
+          len(v) == 2)
+    try:
+        compare(flatten_doc({"x": 1}), flatten_doc({"x": 2}), max_slowdowns=[("x", 2.0)])
+        check("max-slowdown rejects a metric of unknown direction", False)
+    except ValueError:
+        pass
+
     if failures:
         for name in failures:
             print(f"SELF-TEST FAIL: {name}")
         return 1
-    print("self-test OK (9 checks)")
+    print("self-test OK (15 checks)")
     return 0
 
 
@@ -251,6 +314,9 @@ def main():
     ap.add_argument("--tolerance", action="append", default=[], metavar="GLOB=REL",
                     help="paths matching GLOB compare with relative tolerance "
                          "REL instead of exactly (repeatable)")
+    ap.add_argument("--max-slowdown", action="append", default=[], metavar="GLOB=X",
+                    help="paths matching GLOB fail when more than X times worse "
+                         "than the baseline; a speed-up never fails (repeatable)")
     ap.add_argument("--summary", default="",
                     help="append a markdown before/after table to this file")
     ap.add_argument("--self-test", action="store_true",
@@ -271,8 +337,17 @@ def main():
         if not glob:
             ap.error(f"--tolerance needs GLOB=REL, got {spec!r}")
         tolerances.append((glob, float(rel)))
+    max_slowdowns = []
+    for spec in args.max_slowdown:
+        glob, _, factor = spec.rpartition("=")
+        if not glob or float(factor) < 1.0:
+            ap.error(f"--max-slowdown needs GLOB=X with X >= 1, got {spec!r}")
+        max_slowdowns.append((glob, float(factor)))
 
-    schema_rows, value_rows = compare(base, cur, args.allow, tolerances)
+    try:
+        schema_rows, value_rows = compare(base, cur, args.allow, tolerances, max_slowdowns)
+    except ValueError as e:
+        ap.error(str(e))
 
     if args.summary:
         write_summary(args.summary, args.baseline, args.current, len(cur),
